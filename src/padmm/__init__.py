@@ -5,10 +5,9 @@ parallel-MRI reconstruction experiment pipeline."""
 from .admm import (AdmmSolver, ConvergenceReport, Problem, SolverConfig,
                    SolverDivergence, SolverState, run)
 from .blocks import BlockVector, random_like
-from .constraint import (CallableConstraint, LinearMap, Linearization,
-                         NonlinearConstraint, adjoint_check,
-                         fd_jacobian_check, linearize_u, linearize_v)
-from .fields import (dft2, grad, grad_adjoint, idft2, inner, norm2, re_inner)
+from .constraint import (CallableConstraint, LinearMap, NonlinearConstraint,
+                         adjoint_check, fd_jacobian_check)
+from .fields import dft2, grad, grad_adjoint, idft2, inner, norm2
 from .mri import (CoilGradOperator, MriProblem, assemble_constraint,
                   assemble_prox_j, coil_jacobian, coil_op, initial_unknowns,
                   separable_problem)

@@ -17,12 +17,13 @@ positive definiteness guaranteed by tau * delta * ||op||^2 = theta < 1.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .blocks import BlockVector
-from .constraint import NonlinearConstraint
+from .constraint import LinearMap, NonlinearConstraint
 from .opnorm import estimate_opnorm, fresh_start
 from .prox import ProxOp
 
@@ -48,8 +49,8 @@ class SolverConfig:
     seed: int = 0
 
     def validate(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be positive and finite")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         if self.max_iterations < 0:
@@ -61,17 +62,19 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
+    """Iterate after ``k`` steps; ``residual`` is ||F(u, v) - c||.
+
+    The dual-first step eliminates v, so its states carry ``v = None``.
+    """
+
     u: BlockVector
-    v: BlockVector
+    v: Optional[BlockVector]
     mu: BlockVector
     mu_bar: BlockVector
     k: int = 0
     tau1: Optional[float] = None
     tau2: Optional[float] = None
-    residual_history: list = field(default_factory=list)
-    tau1_history: list = field(default_factory=list)
-    tau2_history: list = field(default_factory=list)
-    step_norm_history: list = field(default_factory=list)
+    residual: float = float("nan")
 
 
 @dataclass
@@ -112,28 +115,69 @@ class Problem:
     mu0: BlockVector
 
 
-class AdmmSolver:
-    """Stateful driver around :func:`admm_step` with warm-started norms."""
+class Solver:
+    """Driver shared by both step rules: step sizes, run loop and report.
+
+    Subclasses implement ``step``, a map ``SolverState -> SolverState``
+    that raises :class:`SolverDivergence` on a non-finite iterate.
+    """
+
+    def __init__(self, cfg: SolverConfig):
+        self.cfg = cfg.validate()
+        self._warm = {}
+
+    def step_size(self, linmap: LinearMap, key: str) -> float:
+        """theta / (delta ||linmap||^2), the norm warm-started per ``key``."""
+        cfg = self.cfg
+        start = self._warm.get(key)
+        if start is None or not cfg.warm_start_opnorm:
+            start = fresh_start(BlockVector.zeros(linmap.domain_shapes), cfg.seed)
+        est = estimate_opnorm(linmap.apply, linmap.adjoint, start,
+                              tol=cfg.power_iter_tol, max_iter=cfg.power_iter_max)
+        self._warm[key] = est.eigvec
+        return cfg.theta / (cfg.delta * max(est.value ** 2, 1e-300))
+
+    def step(self, state: SolverState) -> SolverState:
+        raise NotImplementedError
+
+    def _drive(self, state: SolverState, callbacks):
+        # ``state`` is the only reference this frame keeps to the start
+        # state, so its blocks are freed once the first step returns
+        cfg = self.cfg
+        residuals, tau1s, tau2s = [], [], []
+        aborted, abort_message = False, ""
+        t0 = time.perf_counter()
+        for _ in range(cfg.max_iterations):
+            try:
+                state = self.step(state)
+            except SolverDivergence as exc:
+                state = exc.last_state
+                aborted, abort_message = True, str(exc)
+                break
+            residuals.append(state.residual)
+            tau1s.append(state.tau1)
+            tau2s.append(state.tau2)
+            for cb in callbacks or ():
+                cb(state)
+            if cfg.residual_tol is not None and state.residual <= cfg.residual_tol:
+                break
+        report = ConvergenceReport(
+            iterations=state.k, residuals=residuals, tau1s=tau1s, tau2s=tau2s,
+            wall_ms=(time.perf_counter() - t0) * 1e3,
+            aborted=aborted, abort_message=abort_message,
+        )
+        return state, report
+
+
+class AdmmSolver(Solver):
+    """The preconditioned ADMM step on a general constraint F(u, v) = c."""
 
     def __init__(self, constraint: NonlinearConstraint, prox_h: ProxOp,
                  prox_j: ProxOp, cfg: SolverConfig):
+        super().__init__(cfg)
         self.constraint = constraint
         self.prox_h = prox_h
         self.prox_j = prox_j
-        self.cfg = cfg.validate()
-        self._warm_a = None
-        self._warm_b = None
-
-    def _norm_of(self, linmap, warm_attr: str) -> float:
-        start = getattr(self, warm_attr)
-        if start is None or not self.cfg.warm_start_opnorm:
-            start = fresh_start(BlockVector.zeros(linmap.domain_shapes), self.cfg.seed)
-        est = estimate_opnorm(
-            linmap.apply, linmap.adjoint, start,
-            tol=self.cfg.power_iter_tol, max_iter=self.cfg.power_iter_max,
-        )
-        setattr(self, warm_attr, est.eigvec)
-        return est.value
 
     def step(self, state: SolverState) -> SolverState:
         cfg = self.cfg
@@ -141,8 +185,7 @@ class AdmmSolver:
         c = F.target
 
         a = F.jac_u(state.u, state.v)
-        norm_a = self._norm_of(a, "_warm_a")
-        tau1 = cfg.theta / (cfg.delta * max(norm_a ** 2, 1e-300))
+        tau1 = self.step_size(a, "a")
         u_new = self.prox_h.apply(state.u - tau1 * a.adjoint(state.mu_bar), tau1)
 
         b = F.jac_v(u_new, state.v)
@@ -151,8 +194,7 @@ class AdmmSolver:
         elif getattr(F, "jac_v_is_neg_identity", False):
             tau2 = cfg.theta / cfg.delta
         else:
-            norm_b = self._norm_of(b, "_warm_b")
-            tau2 = cfg.theta / (cfg.delta * max(norm_b ** 2, 1e-300))
+            tau2 = self.step_size(b, "b")
 
         half_res = F.evaluate(u_new, state.v) - c
         v_new = self.prox_j.apply(
@@ -168,49 +210,15 @@ class AdmmSolver:
                 f"non-finite iterate at iteration {state.k + 1}", state
             )
 
-        res_norm = full_res.norm()
         return SolverState(
             u=u_new, v=v_new, mu=mu_new, mu_bar=mu_bar_new,
-            k=state.k + 1, tau1=tau1, tau2=tau2,
-            residual_history=state.residual_history + [res_norm],
-            tau1_history=state.tau1_history + [tau1],
-            tau2_history=state.tau2_history + [tau2],
-            step_norm_history=state.step_norm_history + [(u_new - state.u).norm()],
+            k=state.k + 1, tau1=tau1, tau2=tau2, residual=full_res.norm(),
         )
 
     def run(self, u0: BlockVector, v0: BlockVector, mu0: BlockVector,
             callbacks: Optional[list] = None):
-        cfg = self.cfg
-        state = SolverState(u=u0.copy(), v=v0.copy(), mu=mu0.copy(),
-                            mu_bar=mu0.copy())
-        aborted = False
-        abort_message = ""
-        t0 = time.perf_counter()
-        for _ in range(cfg.max_iterations):
-            try:
-                state = self.step(state)
-            except SolverDivergence as exc:
-                state = exc.last_state
-                aborted = True
-                abort_message = str(exc)
-                break
-            if callbacks:
-                for cb in callbacks:
-                    cb(state)
-            if (cfg.residual_tol is not None
-                    and state.residual_history[-1] <= cfg.residual_tol):
-                break
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        report = ConvergenceReport(
-            iterations=state.k,
-            residuals=list(state.residual_history),
-            tau1s=list(state.tau1_history),
-            tau2s=list(state.tau2_history),
-            wall_ms=wall_ms,
-            aborted=aborted,
-            abort_message=abort_message,
-        )
-        return state, report
+        return self._drive(SolverState(u=u0.copy(), v=v0.copy(), mu=mu0.copy(),
+                                       mu_bar=mu0.copy()), callbacks)
 
 
 def run(problem: Problem, cfg: SolverConfig,

@@ -1,4 +1,4 @@
-"""Nonlinear operator constraints F(u, v) = c and their linearizations.
+"""Nonlinear operator constraints F(u, v) = c and their Jacobians.
 
 Jacobians are exposed as matrix-free apply/adjoint pairs.  The scope is
 restricted to constraints that are holomorphic / multilinear in each
@@ -58,9 +58,6 @@ class NonlinearConstraint:
     def jac_v(self, u: BlockVector, v: BlockVector) -> LinearMap:
         raise NotImplementedError
 
-    def residual(self, u: BlockVector, v: BlockVector) -> BlockVector:
-        return self.evaluate(u, v) - self.target
-
 
 class CallableConstraint(NonlinearConstraint):
     """Constraint assembled from plain callables (tests and toys)."""
@@ -79,36 +76,6 @@ class CallableConstraint(NonlinearConstraint):
 
     def jac_v(self, u, v):
         return self._jac_v(u, v)
-
-
-@dataclass(frozen=True)
-class Linearization:
-    """Frozen Taylor data of one solver iteration.
-
-    ``a`` is the u-Jacobian at the previous primal pair, ``b`` the
-    v-Jacobian at the half-updated pair, and ``c1``/``c2`` the matching
-    affine offsets ``c + A u_base - F(u_base, v_base)`` and
-    ``c + B v_base - F(u_new, v_base)``.
-    """
-
-    a: LinearMap | None = None
-    c1: BlockVector | None = None
-    b: LinearMap | None = None
-    c2: BlockVector | None = None
-
-
-def linearize_u(F: NonlinearConstraint, u_k: BlockVector, v_k: BlockVector) -> Linearization:
-    """Freeze the u-side Taylor data at (u_k, v_k)."""
-    a = F.jac_u(u_k, v_k)
-    c1 = F.target + a.apply(u_k) - F.evaluate(u_k, v_k)
-    return Linearization(a=a, c1=c1)
-
-
-def linearize_v(F: NonlinearConstraint, u_kp1: BlockVector, v_k: BlockVector) -> Linearization:
-    """Freeze the v-side Taylor data at (u_kp1, v_k)."""
-    b = F.jac_v(u_kp1, v_k)
-    c2 = F.target + b.apply(v_k) - F.evaluate(u_kp1, v_k)
-    return Linearization(b=b, c2=c2)
 
 
 def fd_jacobian_check(

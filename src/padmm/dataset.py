@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,15 +74,33 @@ def write_container(path, magic: str, meta: dict, blocks: dict):
         raise
 
 
+def _block_entry(value: str):
+    """``(name, (H, W))`` from the value of a ``block: name H W`` line."""
+    try:
+        name, h, w = value.rsplit(" ", 2)
+        shape = (int(h), int(w))
+    except ValueError:
+        raise ContainerFormatError(f"malformed block line {value!r}") from None
+    if min(shape) < 0:
+        raise ContainerFormatError(f"negative block shape in {value!r}")
+    return name, shape
+
+
 def read_container(path, magic: str):
-    """Read back a container; returns (meta, blocks) preserving order."""
+    """Read back a container; returns (meta, blocks) preserving order.
+
+    Every malformed header or payload raises :class:`ContainerFormatError`.
+    """
     with open(path, "rb") as fh:
         header_lines = []
         while True:
             line = fh.readline()
             if not line:
                 raise ContainerFormatError("truncated header")
-            text = line.decode("utf-8").rstrip("\n")
+            try:
+                text = line.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError:
+                raise ContainerFormatError("header is not UTF-8") from None
             if text == "end-header":
                 break
             header_lines.append(text)
@@ -91,18 +110,29 @@ def read_container(path, magic: str):
         for text in header_lines[1:]:
             key, _, value = text.partition(": ")
             if key == "block":
-                name, h, w = value.rsplit(" ", 2)
-                shapes[name] = (int(h), int(w))
+                name, shape = _block_entry(value)
+                shapes[name] = shape
             else:
                 meta[key] = value
+        size = os.fstat(fh.fileno()).st_size
         blocks = {}
         for name, shape in shapes.items():
             nbytes = shape[0] * shape[1] * 16
-            buf = fh.read(nbytes)
-            if len(buf) != nbytes:
+            # checked before reading, so an absurd shape allocates nothing
+            if nbytes > size - fh.tell():
                 raise ContainerFormatError(f"truncated block {name!r}")
-            blocks[name] = _decode_block(buf, shape)
+            blocks[name] = _decode_block(fh.read(nbytes), shape)
     return meta, blocks
+
+
+@contextmanager
+def _entries(path):
+    """Report a missing or malformed header entry as a format error."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise ContainerFormatError(
+            f"{path}: missing or malformed header entry: {exc}") from None
 
 
 @dataclass
@@ -149,22 +179,23 @@ class Dataset:
     @classmethod
     def load(cls, path) -> "Dataset":
         meta, blocks = read_container(path, MAGIC_DATASET)
-        n = int(meta["n"])
-        mask = blocks["mask"].real.astype(np.float64)
-        data = [blocks[f"kspace_{j}"] for j in range(n)]
-        phantom = blocks.get("phantom")
-        coil_maps = None
-        if phantom is not None:
-            coil_maps = [blocks[f"coil_{j}"] for j in range(n)
-                         if f"coil_{j}" in blocks] or None
-        return cls(
-            mask=mask, data=data,
-            sigma=float(meta["sigma"]),
-            noise_seed=int(meta["noise_seed"]),
-            coil_seed=int(meta["coil_seed"]),
-            fraction=float(meta["fraction"]),
-            phantom=phantom, coil_maps=coil_maps,
-        )
+        with _entries(path):
+            n = int(meta["n"])
+            mask = blocks["mask"].real.astype(np.float64)
+            data = [blocks[f"kspace_{j}"] for j in range(n)]
+            phantom = blocks.get("phantom")
+            coil_maps = None
+            if phantom is not None:
+                coil_maps = [blocks[f"coil_{j}"] for j in range(n)
+                             if f"coil_{j}" in blocks] or None
+            return cls(
+                mask=mask, data=data,
+                sigma=float(meta["sigma"]),
+                noise_seed=int(meta["noise_seed"]),
+                coil_seed=int(meta["coil_seed"]),
+                fraction=float(meta["fraction"]),
+                phantom=phantom, coil_maps=coil_maps,
+            )
 
 
 @dataclass
@@ -196,12 +227,13 @@ class ReconstructionRecord:
     @classmethod
     def load(cls, path) -> "ReconstructionRecord":
         meta, blocks = read_container(path, MAGIC_RECORD)
-        n = int(meta["n"])
-        return cls(
-            u=blocks["u"],
-            coil_maps=[blocks[f"coil_{j}"] for j in range(n)],
-            algorithm=meta["algorithm"],
-            iterations=int(meta["iterations"]),
-            final_residual=float(meta["final_residual"]),
-            wall_ms=float(meta["wall_ms"]),
-        )
+        with _entries(path):
+            n = int(meta["n"])
+            return cls(
+                u=blocks["u"],
+                coil_maps=[blocks[f"coil_{j}"] for j in range(n)],
+                algorithm=meta["algorithm"],
+                iterations=int(meta["iterations"]),
+                final_residual=float(meta["final_residual"]),
+                wall_ms=float(meta["wall_ms"]),
+            )

@@ -18,14 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_field(a) -> np.ndarray:
-    """Coerce input to a 2D complex128 array."""
-    out = np.asarray(a, dtype=np.complex128)
-    if out.ndim != 2:
-        raise ValueError(f"expected 2D field, got shape {out.shape}")
-    return out
-
-
 def grad(img: np.ndarray) -> np.ndarray:
     """Forward-difference gradient, shape (2, H, W).
 
@@ -62,11 +54,6 @@ def idft2(ksp: np.ndarray) -> np.ndarray:
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Complex inner product, conjugate-linear in ``b``."""
     return complex(np.sum(a * np.conj(b)))
-
-
-def re_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real part of :func:`inner`; the pairing used in the Lagrangian."""
-    return float(np.real(np.sum(a * np.conj(b))))
 
 
 def norm2(a: np.ndarray) -> float:

@@ -30,7 +30,7 @@ def psnr(recon: np.ndarray, truth: np.ndarray) -> float:
     return 10.0 * math.log10(peak ** 2 / mse)
 
 
-def zero_fill_baseline(data, n: int | None = None) -> np.ndarray:
+def zero_fill_baseline(data) -> np.ndarray:
     """Average of the inverse transforms of the zero-filled coil data."""
     fields = [idft2(f) for f in data]
     return sum(fields) / len(fields)

@@ -14,7 +14,8 @@ C the bilinear coil operator (u_0 c_1, ..., u_0 c_n); its v-Jacobian is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,8 +128,10 @@ class MriProblem:
         n = len(self.data)
         self.lam = [float(x) for x in np.broadcast_to(self.lam, (n,))]
         self.alpha = [float(x) for x in np.broadcast_to(self.alpha, (n,))]
-        if any(x < 0 for x in self.lam + self.alpha) or self.alpha0 < 0:
-            raise ValueError("weights must be nonnegative")
+        self.alpha0 = float(self.alpha0)
+        if not all(math.isfinite(x) and x >= 0
+                   for x in self.lam + self.alpha + [self.alpha0]):
+            raise ValueError("weights must be finite and nonnegative")
         for f in self.data:
             if f.shape != self.mask.shape:
                 raise ValueError("k-space data shape mismatch")

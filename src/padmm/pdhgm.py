@@ -17,14 +17,15 @@ u-sequences by one the iterates coincide.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .admm import AdmmSolver, ConvergenceReport, SolverConfig
+from .admm import (AdmmSolver, Problem, Solver, SolverConfig,
+                   SolverDivergence, SolverState)
 from .blocks import BlockVector
 from .constraint import LinearMap, NonlinearConstraint
-from .opnorm import estimate_opnorm, fresh_start
+# unused here, but benchmarks/spans.py patches and checks this attribute
+from .opnorm import estimate_opnorm  # noqa: F401
 from .prox import ProxOp, conjugate_apply
 
 
@@ -84,9 +85,7 @@ class SeparableProblem:
     mu0: BlockVector
     target: BlockVector  # right-hand side c, zero for the MRI model
 
-    def as_admm_problem(self):
-        from .admm import Problem
-
+    def as_admm_problem(self) -> Problem:
         return Problem(
             constraint=SeparableConstraint(self.g, self.target),
             prox_h=self.prox_h,
@@ -97,65 +96,46 @@ class SeparableProblem:
         )
 
 
-class PdhgmSolver:
-    """Driver for the dual-first iteration."""
+class PdhgmSolver(Solver):
+    """The dual-first step; its state carries no v.
+
+    Its residual ||mu^{k+1} - mu^k|| / delta is ||G(u^k) - c - v^{k+1}||,
+    the constraint residual of the eliminated v, which is what the ADMM
+    records; tau2 is the 1/delta that elimination assumes.
+    """
 
     def __init__(self, problem: SeparableProblem, cfg: SolverConfig):
+        super().__init__(cfg)
         self.problem = problem
-        self.cfg = cfg.validate()
-        self._warm = None
 
-    def _jac_norm(self, jac: LinearMap) -> float:
-        start = self._warm
-        if start is None or not self.cfg.warm_start_opnorm:
-            start = fresh_start(BlockVector.zeros(jac.domain_shapes), self.cfg.seed)
-        est = estimate_opnorm(jac.apply, jac.adjoint, start,
-                              tol=self.cfg.power_iter_tol,
-                              max_iter=self.cfg.power_iter_max)
-        self._warm = est.eigvec
-        return est.value
-
-    def step(self, u: BlockVector, mu: BlockVector):
-        """One dual-first iteration; returns (mu_new, mu_bar, u_new, tau1)."""
+    def step(self, state: SolverState) -> SolverState:
         p, cfg = self.problem, self.cfg
-        b = mu + cfg.delta * (p.g.evaluate(u) - p.target)
+        b = state.mu + cfg.delta * (p.g.evaluate(state.u) - p.target)
         mu_new = conjugate_apply(p.prox_j, b, cfg.delta)
-        mu_bar = 2.0 * mu_new - mu
+        mu_bar = 2.0 * mu_new - state.mu
 
-        jac = p.g.jac(u)
-        norm_j = self._jac_norm(jac)
-        tau1 = cfg.theta / (cfg.delta * max(norm_j ** 2, 1e-300))
-        u_new = p.prox_h.apply(u - tau1 * jac.adjoint(mu_bar), tau1)
-        return mu_new, mu_bar, u_new, tau1
+        jac = p.g.jac(state.u)
+        tau1 = self.step_size(jac, "a")
+        u_new = p.prox_h.apply(state.u - tau1 * jac.adjoint(mu_bar), tau1)
+
+        if not (u_new.isfinite() and mu_new.isfinite()):
+            raise SolverDivergence(
+                f"non-finite iterate at iteration {state.k + 1}", state
+            )
+        return SolverState(
+            u=u_new, v=None, mu=mu_new, mu_bar=mu_bar, k=state.k + 1,
+            tau1=tau1, tau2=1.0 / cfg.delta,
+            residual=(mu_new - state.mu).norm() / cfg.delta,
+        )
 
     def run(self, callbacks: Optional[list] = None):
-        cfg = self.cfg
-        u = self.problem.u0.copy()
-        mu = self.problem.mu0.copy()
-        step_norms, tau1s = [], []
-        t0 = time.perf_counter()
-        for k in range(cfg.max_iterations):
-            mu_new, _, u_new, tau1 = self.step(u, mu)
-            if not (u_new.isfinite() and mu_new.isfinite()):
-                report = ConvergenceReport(
-                    iterations=k, residuals=step_norms, tau1s=tau1s, tau2s=[],
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                    aborted=True,
-                    abort_message=f"non-finite iterate at iteration {k + 1}",
-                )
-                return u, mu, report
-            step_norms.append((u_new - u).norm())
-            tau1s.append(tau1)
-            u, mu = u_new, mu_new
-            if callbacks:
-                for cb in callbacks:
-                    cb(u, mu)
-        report = ConvergenceReport(
-            iterations=cfg.max_iterations, residuals=step_norms,
-            tau1s=tau1s, tau2s=[],
-            wall_ms=(time.perf_counter() - t0) * 1e3,
+        """Iterate from the problem's start; callbacks receive (u, mu)."""
+        p = self.problem
+        state, report = self._drive(
+            SolverState(u=p.u0.copy(), v=None, mu=p.mu0.copy(), mu_bar=p.mu0),
+            [lambda st, cb=cb: cb(st.u, st.mu) for cb in callbacks or ()],
         )
-        return u, mu, report
+        return state.u, state.mu, report
 
 
 def fixed_point_residual(problem: SeparableProblem, cfg: SolverConfig,

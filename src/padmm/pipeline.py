@@ -13,8 +13,9 @@ from .dataset import Dataset, ReconstructionRecord
 from .metrics import format_metrics, psnr, write_pgm, zero_fill_baseline
 from .mri import MriProblem, separable_problem
 from .pdhgm import PdhgmSolver, equivalence_check
-from .phantom import (PhantomSpec, SamplingSpec, build_phantom,
-                      make_coil_maps, simulate_kspace, spiral_mask)
+from .phantom import (MaskFractionError, PhantomSpec, SamplingSpec,
+                      build_phantom, make_coil_maps, simulate_kspace,
+                      spiral_mask)
 
 ALGORITHMS = ("admm", "pdhgm")
 
@@ -110,7 +111,13 @@ def simulate(cfg: ExperimentConfig) -> Dataset:
     """
     phantom = build_phantom(cfg.phantom)
     coil_maps = make_coil_maps(cfg.coils, cfg.phantom.size, seed=cfg.coil_seed)
-    mask = spiral_mask(cfg.sampling, cfg.phantom.size)
+    try:
+        mask = spiral_mask(cfg.sampling, cfg.phantom.size)
+    except MaskFractionError as exc:
+        raise ConfigError(
+            f"sampling fraction {cfg.sampling.fraction} is unreachable with "
+            f"{cfg.sampling.turns} spiral turns on a {cfg.phantom.size}-pixel "
+            f"grid: {exc}") from exc
     npix = float(phantom.size)
     data = simulate_kspace(phantom, coil_maps, mask,
                            cfg.sampling.sigma / np.sqrt(npix),
@@ -132,12 +139,15 @@ def mri_problem(dataset: Dataset, cfg: ExperimentConfig) -> MriProblem:
     the unitary transform, so the effective weight is lam * H * W.
     """
     npix = float(dataset.mask.size)
-    lam = np.asarray(cfg.lam, dtype=float) * npix
-    return MriProblem(
-        mask=dataset.mask, data=dataset.data,
-        lam=lam, alpha0=cfg.alpha0, alpha=cfg.alpha,
-        tv_shrink=cfg.tv_shrink,
-    )
+    try:
+        lam = np.asarray(cfg.lam, dtype=float) * npix
+        return MriProblem(
+            mask=dataset.mask, data=dataset.data,
+            lam=lam, alpha0=cfg.alpha0, alpha=cfg.alpha,
+            tv_shrink=cfg.tv_shrink,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid problem: {exc}") from exc
 
 
 def reconstruct(dataset: Dataset, cfg: ExperimentConfig):
@@ -151,7 +161,6 @@ def reconstruct(dataset: Dataset, cfg: ExperimentConfig):
         state, report = solver.run(ap.u0, ap.v0, ap.mu0)
         final_u = state.u
     else:
-        _ = problem.as_admm_problem()  # validates layouts
         u, _mu, report = PdhgmSolver(problem, cfg.solver).run()
         final_u = u
     record = ReconstructionRecord(
@@ -159,7 +168,7 @@ def reconstruct(dataset: Dataset, cfg: ExperimentConfig):
         coil_maps=[final_u[j] for j in range(1, dataset.n_coils + 1)],
         algorithm=cfg.algorithm,
         iterations=report.iterations,
-        final_residual=report.final_residual if report.residuals else float("nan"),
+        final_residual=report.final_residual,
         wall_ms=report.wall_ms,
     )
     return record, report

@@ -322,13 +322,14 @@ class TestCriterion8:
     def _one_step(self, problem, cfg, u):
         """Coil changes of one PDHGM and one matching ADMM step from u."""
         mu0 = BlockVector.zeros_like(problem.target)
-        mu, mu_bar, u_pd, _ = PdhgmSolver(problem, cfg).step(u, mu0)
+        pd = PdhgmSolver(problem, cfg).step(
+            SolverState(u=u, v=None, mu=mu0, mu_bar=mu0))
         ap = problem.as_admm_problem()
         admm = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
                           replace(cfg, tau2_override=1.0 / cfg.delta))
         state = admm.step(SolverState(u=u, v=problem.g.evaluate(u),
-                                      mu=mu, mu_bar=mu_bar))
-        return (mu_bar, self._coil_change(u, u_pd),
+                                      mu=pd.mu, mu_bar=pd.mu_bar))
+        return (pd.mu_bar, self._coil_change(u, pd.u),
                 self._coil_change(u, state.u))
 
     def test_coils_untouched_where_signal_vanishes(self):

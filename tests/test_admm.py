@@ -235,6 +235,8 @@ class TestConfigValidation:
         {"delta": 0.0}, {"delta": -1.0},
         {"theta": 0.0}, {"theta": 1.0},
         {"max_iterations": -1}, {"power_iter_max": 0},
+        {"delta": float("nan")}, {"delta": float("inf")},
+        {"theta": float("nan")},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import yaml
 
 from padmm.admm import ConvergenceReport
 from padmm.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
-from padmm.dataset import Dataset, ReconstructionRecord
+from padmm.dataset import ContainerFormatError, Dataset, ReconstructionRecord
 from padmm.metrics import parse_metrics
 
 BASE_CONFIG = {
@@ -137,6 +137,49 @@ class TestValidationFailures:
         raw["solver"]["delta"] = "not-a-number"
         config.write_text(yaml.safe_dump(raw))
         assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+
+
+    def test_non_finite_weight(self, workspace, capsys):
+        config, _ = workspace
+        main(["simulate", "--config", str(config)])
+        raw = yaml.safe_load(config.read_text())
+        raw["weights"]["lam"] = float("nan")
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["reconstruct", "--config", str(config)]) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+
+    def test_unreachable_sampling_fraction(self, workspace, capsys):
+        config, _ = workspace
+        raw = yaml.safe_load(config.read_text())
+        raw["phantom"]["size"] = 48
+        raw["sampling"]["turns"] = 12.0
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+        assert "unreachable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        pytest.param(b"sigma: ", b"sigma: \xff\xfe", id="non-utf8"),
+        pytest.param(b"end-header", b"block: x\nend-header", id="block-x"),
+        pytest.param(b"end-header", b"block: x a b\nend-header",
+                     id="block-x-a-b"),
+        pytest.param(b"end-header", b"block: x -1 4\nend-header",
+                     id="negative-shape"),
+        pytest.param(b"end-header", b"block: x 100000 100000\nend-header",
+                     id="shape-beyond-file"),
+        pytest.param(b"\nn: 2\n", b"\nn: 3\n", id="missing-block"),
+    ])
+    def test_malformed_dataset_header(self, workspace, capsys, old, new):
+        config, out = workspace
+        main(["simulate", "--config", str(config)])
+        path = out / "dataset.pad"
+        raw = path.read_bytes()
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, new))
+        with pytest.raises(ContainerFormatError):
+            Dataset.load(path)
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solver_abort_exit_code(workspace, monkeypatch, capsys):

@@ -3,8 +3,7 @@ import pytest
 
 from padmm.blocks import BlockVector, random_like
 from padmm.constraint import (CallableConstraint, LinearMap, adjoint_check,
-                              fd_jacobian_check, linearize_u, linearize_v)
-from padmm.pdhgm import CallableOperator, SeparableConstraint
+                              fd_jacobian_check)
 
 
 def matrix_map(m, dom, cod):
@@ -53,58 +52,6 @@ def bilinear():
         target=BlockVector.zeros(cod),
     )
     return F, dom, cod
-
-
-class TestLinearize:
-    def test_affine_linearization_is_itself(self, affine):
-        F, k, dom = affine
-        rng = np.random.default_rng(1)
-        u = random_like(BlockVector.zeros(dom), rng)
-        v = random_like(BlockVector.zeros(dom), rng)
-        lin = linearize_u(F, u, v)
-        # A = K for any base point; the constant absorbs the -v term,
-        # c1 = c + A u - F(u, v) = c + v
-        h = random_like(BlockVector.zeros(dom), rng)
-        assert np.allclose(lin.a.apply(h).ravel(), k @ h.ravel(), atol=1e-12)
-        expected = F.target + v
-        assert (lin.c1 - expected).norm() < 1e-12 * max(expected.norm(), 1.0)
-
-    def test_c1_identity_by_recomputation(self, bilinear):
-        F, dom, _ = bilinear
-        rng = np.random.default_rng(2)
-        u = random_like(BlockVector.zeros(dom), rng)
-        v = random_like(BlockVector.zeros(F.target.shapes), rng)
-        lin = linearize_u(F, u, v)
-        recomputed = F.target + lin.a.apply(u) - F.evaluate(u, v)
-        assert (lin.c1 - recomputed).norm() == 0
-
-    def test_c2_identity_by_recomputation(self, bilinear):
-        F, dom, _ = bilinear
-        rng = np.random.default_rng(3)
-        u = random_like(BlockVector.zeros(dom), rng)
-        v = random_like(BlockVector.zeros(F.target.shapes), rng)
-        lin = linearize_v(F, u, v)
-        recomputed = F.target + lin.b.apply(v) - F.evaluate(u, v)
-        assert (lin.c2 - recomputed).norm() == 0
-
-    def test_separable_linearize_v_is_negative_identity(self):
-        dom = ((3, 3),)
-        g = CallableOperator(
-            evaluate=lambda u: BlockVector([u[0] ** 2]),
-            jac=lambda u: LinearMap(lambda h: BlockVector([2 * u[0] * h[0]]),
-                                    lambda w: BlockVector([2 * np.conj(u[0]) * w[0]]),
-                                    dom, dom),
-        )
-        F = SeparableConstraint(g, BlockVector.zeros(dom))
-        rng = np.random.default_rng(4)
-        u = random_like(BlockVector.zeros(dom), rng)
-        v = random_like(BlockVector.zeros(dom), rng)
-        lin = linearize_v(F, u, v)
-        h = random_like(BlockVector.zeros(dom), rng)
-        assert np.array_equal(lin.b.apply(h).ravel(), -h.ravel())
-        # c2 = c - G(u) for F(u, v) = G(u) - v
-        assert np.allclose(lin.c2.ravel(),
-                           (F.target - g.evaluate(u)).ravel(), atol=1e-14)
 
 
 class TestJacobianChecks:

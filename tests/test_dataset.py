@@ -130,3 +130,15 @@ class TestRecord:
         assert back.iterations == 17
         assert back.final_residual == rec.final_residual
         assert back.wall_ms == rec.wall_ms
+
+    def test_malformed_entry_rejected(self, tmp_path):
+        rec = ReconstructionRecord(
+            u=np.ones((2, 2), dtype=complex), coil_maps=[], algorithm="admm",
+            iterations=3, final_residual=1.0, wall_ms=1.0,
+        )
+        path = tmp_path / "r.pad"
+        rec.save(path)
+        path.write_bytes(path.read_bytes().replace(b"iterations: 3",
+                                                   b"iterations: x"))
+        with pytest.raises(ContainerFormatError, match="malformed"):
+            ReconstructionRecord.load(path)

@@ -114,6 +114,14 @@ class TestProblemValidation:
             MriProblem(mask=p.mask, data=p.data, lam=-1.0,
                        alpha0=p.alpha0, alpha=p.alpha)
 
+    @pytest.mark.parametrize("name", ["lam", "alpha0", "alpha"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, name, value):
+        p = small_problem()
+        weights = {"lam": p.lam, "alpha0": p.alpha0, "alpha": p.alpha}
+        with pytest.raises(ValueError, match="finite"):
+            MriProblem(mask=p.mask, data=p.data, **{**weights, name: value})
+
     def test_unknown_shrink_mode_rejected(self):
         p = small_problem()
         with pytest.raises(ValueError):

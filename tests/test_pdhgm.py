@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from padmm.blocks import BlockVector, random_like
 from padmm.constraint import LinearMap
+from padmm.mri import separable_problem
 from padmm.pdhgm import (CallableOperator, PdhgmSolver, SeparableConstraint,
                          SeparableProblem, equivalence_check,
                          fixed_point_residual)
-from padmm.admm import SolverConfig
+from padmm.admm import AdmmSolver, SolverConfig, SolverState
+from padmm.pipeline import config_from_dict, mri_problem, simulate
 from padmm.prox import IdentityProx, QuadraticAnchorProx, conjugate_apply
 
 
@@ -38,6 +42,20 @@ def denoising_problem(shapes, f, weight=1.0):
     )
 
 
+def nan_problem():
+    """G(u) is NaN everywhere, so the first step of either solver diverges."""
+    shapes = ((2,),)
+    g = CallableOperator(
+        evaluate=lambda u: BlockVector([np.full(2, np.nan, complex)]),
+        jac=lambda u: LinearMap(lambda h: h, lambda w: w, shapes, shapes),
+    )
+    return SeparableProblem(
+        g=g, prox_h=IdentityProx(), prox_j=IdentityProx(),
+        u0=BlockVector.zeros(shapes), mu0=BlockVector.zeros(shapes),
+        target=BlockVector.zeros(shapes),
+    )
+
+
 class TestConvergence:
     def test_identity_quadratic_limit(self):
         rng = np.random.default_rng(0)
@@ -53,16 +71,7 @@ class TestConvergence:
         assert not report.aborted
 
     def test_abort_on_nonfinite(self):
-        shapes = ((2,),)
-        g = CallableOperator(
-            evaluate=lambda u: BlockVector([np.full(2, np.nan, complex)]),
-            jac=lambda u: LinearMap(lambda h: h, lambda w: w, shapes, shapes),
-        )
-        problem = SeparableProblem(
-            g=g, prox_h=IdentityProx(), prox_j=IdentityProx(),
-            u0=BlockVector.zeros(shapes), mu0=BlockVector.zeros(shapes),
-            target=BlockVector.zeros(shapes),
-        )
+        problem = nan_problem()
         _, _, report = PdhgmSolver(problem, SolverConfig(max_iterations=5)).run()
         assert report.aborted
         assert report.iterations == 0
@@ -78,11 +87,11 @@ class TestStepStructure:
         solver = PdhgmSolver(problem, cfg)
         u = random_like(BlockVector.zeros(shapes), rng)
         mu = random_like(BlockVector.zeros(shapes), rng)
-        mu_new, mu_bar, _, _ = solver.step(u, mu)
+        new = solver.step(SolverState(u=u, v=None, mu=mu, mu_bar=mu))
         b = mu + cfg.delta * (u - problem.target)
         expected = conjugate_apply(problem.prox_j, b, cfg.delta)
-        assert (mu_new - expected).norm() == 0
-        assert (mu_bar - (2.0 * mu_new - mu)).norm() == 0
+        assert (new.mu - expected).norm() == 0
+        assert (new.mu_bar - (2.0 * new.mu - mu)).norm() == 0
 
     def test_moreau_split_recovers_primal_prox(self):
         # the eliminated v-update is recoverable from the dual one
@@ -105,8 +114,8 @@ class TestStepStructure:
         solver = PdhgmSolver(problem, cfg)
         u = random_like(BlockVector.zeros(shapes), rng)
         mu = random_like(BlockVector.zeros(shapes), rng)
-        mu_new, _, u_new, tau1 = solver.step(u, mu)
-        res = fixed_point_residual(problem, cfg, u, mu, u_new, mu_new, tau1)
+        new = solver.step(SolverState(u=u, v=None, mu=mu, mu_bar=mu))
+        res = fixed_point_residual(problem, cfg, u, mu, new.u, new.mu, new.tau1)
         assert res < 1e-10
 
 
@@ -173,3 +182,52 @@ class TestSeparableConstraintAdapter:
         assert ap.v0.shapes == problem.target.shapes
         assert ap.v0.norm() == 0
         assert ap.u0 is problem.u0
+
+
+class TestSolverParity:
+    """Both step rules run in one driver, so their reports mean the same."""
+
+    def test_residuals_match_admm_index_for_index(self):
+        # the equivalence_check setting on the criterion-5 MRI instance:
+        # ADMM with tau2 = 1/delta, PDHGM started from the ADMM's u^1
+        exp = config_from_dict({
+            "phantom": {"size": 16},
+            "coils": {"count": 2, "seed": 1},
+            "sampling": {"fraction": 0.3, "turns": 3.0, "sigma": 0.05,
+                         "seed": 0},
+            "solver": {"delta": 0.5, "power_iter_tol": 1e-9,
+                       "power_iter_max": 300},
+            "weights": {"lam": 0.0621, "alpha0": 0.062, "alpha": 0.9317},
+        })
+        problem = separable_problem(mri_problem(simulate(exp), exp))
+        iterations = 50
+        cfg = replace(exp.solver, warm_start_opnorm=False,
+                      max_iterations=iterations)
+        ap = problem.as_admm_problem()
+        u_hist = []
+        _, admm = AdmmSolver(
+            ap.constraint, ap.prox_h, ap.prox_j,
+            replace(cfg, tau2_override=1.0 / cfg.delta,
+                    max_iterations=iterations + 1),
+        ).run(ap.u0, ap.v0, ap.mu0, callbacks=[lambda st: u_hist.append(st.u)])
+        _, _, pd = PdhgmSolver(replace(problem, u0=u_hist[0]), cfg).run()
+
+        assert len(pd.residuals) == iterations
+        for r_pd, r_admm in zip(pd.residuals, admm.residuals):
+            assert abs(r_pd - r_admm) <= 1e-12 * r_admm
+        assert pd.tau2s == [1.0 / cfg.delta] * iterations
+
+    def test_divergence_reported_alike(self):
+        problem = nan_problem()
+        cfg = SolverConfig(max_iterations=5)
+        ap = problem.as_admm_problem()
+        state, admm = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
+                                 cfg).run(ap.u0, ap.v0, ap.mu0)
+        u, mu, pd = PdhgmSolver(problem, cfg).run()
+        for report in (admm, pd):
+            assert report.aborted
+            assert report.iterations == 0
+            assert report.residuals == []
+        assert pd.abort_message == admm.abort_message
+        assert "non-finite" in pd.abort_message
+        assert state.u.isfinite() and u.isfinite() and mu.isfinite()
