@@ -8,12 +8,11 @@ from .blocks import BlockVector, random_like
 from .constraint import (CallableConstraint, LinearMap, NonlinearConstraint,
                          adjoint_check, fd_jacobian_check)
 from .fields import dft2, grad, grad_adjoint, idft2, inner, norm2
-from .mri import (CoilGradOperator, MriProblem, assemble_constraint,
-                  assemble_prox_j, coil_jacobian, coil_op, initial_unknowns,
-                  separable_problem)
+from .mri import (CoilGradOperator, MriProblem, assemble_prox_j,
+                  coil_jacobian, coil_op, initial_unknowns, separable_problem)
 from .opnorm import estimate_opnorm
 from .pdhgm import (PdhgmSolver, SeparableConstraint, SeparableOperator,
-                    SeparableProblem, equivalence_check, fixed_point_residual)
+                    SeparableProblem, equivalence_check)
 from .phantom import (PhantomSpec, SamplingSpec, TissueParams, TISSUES,
                       build_phantom, flair_signal, make_coil_maps,
                       simulate_kspace, spiral_mask)

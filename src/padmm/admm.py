@@ -45,7 +45,6 @@ class SolverConfig:
     power_iter_max: int = 500
     tau2_override: Optional[float] = None
     warm_start_opnorm: bool = True
-    residual_tol: Optional[float] = None
     seed: int = 0
 
     def validate(self):
@@ -55,6 +54,8 @@ class SolverConfig:
             raise ValueError("theta must lie in (0, 1)")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
+        if not (math.isfinite(self.power_iter_tol) and self.power_iter_tol >= 0):
+            raise ValueError("power_iter_tol must be nonnegative and finite")
         if self.power_iter_max < 1:
             raise ValueError("power_iter_max must be at least 1")
         return self
@@ -143,11 +144,10 @@ class Solver:
     def _drive(self, state: SolverState, callbacks):
         # ``state`` is the only reference this frame keeps to the start
         # state, so its blocks are freed once the first step returns
-        cfg = self.cfg
         residuals, tau1s, tau2s = [], [], []
         aborted, abort_message = False, ""
         t0 = time.perf_counter()
-        for _ in range(cfg.max_iterations):
+        for _ in range(self.cfg.max_iterations):
             try:
                 state = self.step(state)
             except SolverDivergence as exc:
@@ -159,8 +159,6 @@ class Solver:
             tau2s.append(state.tau2)
             for cb in callbacks or ():
                 cb(state)
-            if cfg.residual_tol is not None and state.residual <= cfg.residual_tol:
-                break
         report = ConvergenceReport(
             iterations=state.k, residuals=residuals, tau1s=tau1s, tau2s=tau2s,
             wall_ms=(time.perf_counter() - t0) * 1e3,

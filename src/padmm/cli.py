@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Subcommands: simulate, reconstruct, baseline, eval, equivalence.  Each
-takes ``--config <file>`` plus ``--out``, ``--seed`` and ``--iters``
-overrides.  Exit status: 0 success, 2 validation failure, 3 solver
+takes ``--config <file>`` and an ``--out`` override; ``simulate`` also
+takes ``--seed`` (noise seed), ``reconstruct`` and ``equivalence`` take
+``--iters``.  Exit status: 0 success, 2 validation failure, 3 solver
 abort.
 """
 
@@ -16,8 +17,8 @@ from dataclasses import replace
 from .dataset import ContainerFormatError, Dataset, ReconstructionRecord
 from .metrics import write_pgm, zero_fill_baseline
 from .pipeline import (ConfigError, dataset_path, evaluate, load_config,
-                       mri_problem, reconstruct, record_path, run_equivalence,
-                       simulate, write_metrics, write_outputs)
+                       reconstruct, record_path, run_equivalence, simulate,
+                       write_metrics, write_outputs)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,10 +42,12 @@ def _build_parser():
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, help="noise seed override")
-        p.add_argument("--iters", type=int, help="iteration count override")
-        if name != "simulate":
+        if name == "simulate":
+            p.add_argument("--seed", type=int, help="noise seed override")
+        else:
             p.add_argument("--data", help="dataset file (default <out>/dataset.pad)")
+        if name in ("reconstruct", "equivalence"):
+            p.add_argument("--iters", type=int, help="iteration count override")
         if name == "eval":
             p.add_argument("--recon", help="record file (default <out>/recon.pad)")
     return parser
@@ -53,10 +56,11 @@ def _build_parser():
 def _apply_overrides(cfg, args):
     if args.out is not None:
         cfg = replace(cfg, output=args.out)
-    if args.seed is not None:
-        cfg = replace(cfg, sampling=replace(cfg.sampling, noise_seed=args.seed))
-    if args.iters is not None:
-        cfg = replace(cfg, solver=replace(cfg.solver, max_iterations=args.iters))
+    seed, iters = getattr(args, "seed", None), getattr(args, "iters", None)
+    if seed is not None:
+        cfg = replace(cfg, sampling=replace(cfg.sampling, noise_seed=seed))
+    if iters is not None:
+        cfg = replace(cfg, solver=replace(cfg.solver, max_iterations=iters))
     return cfg.validate()
 
 
@@ -83,7 +87,6 @@ def main(argv=None) -> int:
 
         if args.command == "reconstruct":
             dataset = _load_dataset(cfg, args)
-            mri_problem(dataset, cfg)  # validates data against weights early
             record, report = reconstruct(dataset, cfg)
             write_outputs(cfg.output, record, report)
             if report.aborted:
@@ -107,8 +110,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"record file not found: {rec_path}")
             record = ReconstructionRecord.load(rec_path)
             values = evaluate(record, dataset)
-            path = write_metrics(cfg.output, values)
-            print(open(path).read(), end="")
+            print(write_metrics(cfg.output, values), end="")
             return EXIT_OK
 
         if args.command == "equivalence":
@@ -118,8 +120,6 @@ def main(argv=None) -> int:
             print(f"max iterate deviation over {iters} iterations: "
                   f"{deviation:.3e}")
             return EXIT_OK
-
-        raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ContainerFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,6 +10,7 @@ for identical content, so round-trips can be compared with ``cmp``.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 from contextlib import contextmanager
@@ -44,6 +45,23 @@ def _decode_block(buf: bytes, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
+def atomic_write(path, chunks):
+    """Write the byte strings ``chunks`` to a temporary file beside
+    ``path`` and rename it over ``path``, so readers never see a part."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".padmm-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_container(path, magic: str, meta: dict, blocks: dict):
     """Atomically write metadata and 2D complex blocks to ``path``."""
     lines = [magic]
@@ -58,20 +76,9 @@ def write_container(path, magic: str, meta: dict, blocks: dict):
         lines.append(f"block: {name} {arr.shape[0]} {arr.shape[1]}")
     lines.append("end-header")
     header = ("\n".join(lines) + "\n").encode("utf-8")
-
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".padmm-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            for arr in blocks.values():
-                fh.write(_encode_block(arr))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    # a generator, so only one encoded block is held in memory at a time
+    atomic_write(path, itertools.chain(
+        [header], (_encode_block(arr) for arr in blocks.values())))
 
 
 def _block_entry(value: str):
@@ -178,6 +185,8 @@ class Dataset:
 
     @classmethod
     def load(cls, path) -> "Dataset":
+        """Read a dataset; at least one coil, every block shaped like the
+        mask and finite, or :class:`ContainerFormatError`."""
         meta, blocks = read_container(path, MAGIC_DATASET)
         with _entries(path):
             n = int(meta["n"])
@@ -188,7 +197,7 @@ class Dataset:
             if phantom is not None:
                 coil_maps = [blocks[f"coil_{j}"] for j in range(n)
                              if f"coil_{j}" in blocks] or None
-            return cls(
+            dataset = cls(
                 mask=mask, data=data,
                 sigma=float(meta["sigma"]),
                 noise_seed=int(meta["noise_seed"]),
@@ -196,6 +205,17 @@ class Dataset:
                 fraction=float(meta["fraction"]),
                 phantom=phantom, coil_maps=coil_maps,
             )
+        if not data:
+            raise ContainerFormatError(f"{path}: dataset has no coils")
+        truth = [] if phantom is None else [phantom] + (coil_maps or [])
+        for field in [mask] + data + truth:
+            if field.shape != mask.shape:
+                raise ContainerFormatError(
+                    f"{path}: block shape {field.shape} differs from the "
+                    f"mask's {mask.shape}")
+            if not np.isfinite(field).all():
+                raise ContainerFormatError(f"{path}: non-finite samples")
+        return dataset
 
 
 @dataclass

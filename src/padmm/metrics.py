@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 
 import numpy as np
 
+from .dataset import atomic_write
 from .fields import idft2
 
 PSNR_SENTINEL = float("inf")
@@ -17,8 +16,9 @@ def psnr(recon: np.ndarray, truth: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB, computed on modulus images.
 
     Peak is the maximum modulus of ``truth``; identical inputs return
-    the +inf sentinel.  Note the asymmetry: MSE is symmetric but the
-    peak is taken from the second argument.
+    the +inf sentinel, and an MSE that overflows (or a zero peak) gives
+    -inf.  Note the asymmetry: MSE is symmetric but the peak is taken
+    from the second argument.
     """
     if recon.shape != truth.shape:
         raise ValueError("shape mismatch")
@@ -26,8 +26,10 @@ def psnr(recon: np.ndarray, truth: np.ndarray) -> float:
     mse = float(np.mean(err ** 2))
     if mse == 0.0:
         return PSNR_SENTINEL
-    peak = float(np.max(np.abs(truth)))
-    return 10.0 * math.log10(peak ** 2 / mse)
+    ratio = float(np.max(np.abs(truth))) ** 2 / mse
+    if ratio == 0.0:
+        return float("-inf")
+    return 10.0 * math.log10(ratio)
 
 
 def zero_fill_baseline(data) -> np.ndarray:
@@ -36,28 +38,16 @@ def zero_fill_baseline(data) -> np.ndarray:
     return sum(fields) / len(fields)
 
 
-def write_pgm(path, field: np.ndarray, peak: float | None = None):
-    """8-bit binary PGM of the modulus, linearly scaled to [0, peak]."""
+def write_pgm(path, field: np.ndarray):
+    """8-bit binary PGM of the modulus, linearly scaled to [0, max]."""
     mod = np.abs(field)
-    if peak is None:
-        peak = float(mod.max())
+    peak = float(mod.max())
     if peak <= 0:
         peak = 1.0
     img = np.clip(mod / peak, 0.0, 1.0)
     pixels = np.round(img * 255.0).astype(np.uint8)
     header = f"P5\n{field.shape[1]} {field.shape[0]}\n255\n".encode("ascii")
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".padmm-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(pixels.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, [header, pixels.tobytes()])
 
 
 def format_metrics(values: dict) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 from .blocks import BlockVector
 from .constraint import LinearMap
 from .fields import grad, grad_adjoint
-from .pdhgm import (SeparableConstraint, SeparableOperator, SeparableProblem)
+from .pdhgm import SeparableOperator, SeparableProblem
 from .prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                    IdentityProx, SeparableSumProx)
 
@@ -118,7 +118,6 @@ class MriProblem:
     lam: list
     alpha0: float
     alpha: list
-    tv_shrink: str = "pixel"  # "pixel" (isotropic TV) or "global"
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=np.float64)
@@ -137,8 +136,6 @@ class MriProblem:
                 raise ValueError("k-space data shape mismatch")
             if np.any(np.abs(f * (1.0 - self.mask)) > 0):
                 raise ValueError("k-space data must vanish off the mask")
-        if self.tv_shrink not in ("pixel", "global"):
-            raise ValueError("tv_shrink must be 'pixel' or 'global'")
 
     @property
     def n_coils(self) -> int:
@@ -149,22 +146,13 @@ class MriProblem:
         return self.mask.shape
 
 
-def assemble_constraint(problem: MriProblem) -> SeparableConstraint:
-    op = CoilGradOperator(problem.n_coils, problem.shape)
-    target = BlockVector.zeros(op.v_shapes)
-    return SeparableConstraint(op, target)
-
-
 def assemble_prox_j(problem: MriProblem) -> SeparableSumProx:
     """Blockwise resolvent of J matching the v-layout."""
     children = [
         FourierFidelityProx(lam, problem.mask, f)
         for lam, f in zip(problem.lam, problem.data)
     ]
-    if problem.tv_shrink == "pixel":
-        children.append(GroupShrinkProx(problem.alpha0))
-    else:
-        children.append(GlobalShrinkProx(problem.alpha0))
+    children.append(GroupShrinkProx(problem.alpha0))
     children += [GlobalShrinkProx(a) for a in problem.alpha]
     return SeparableSumProx(children)
 
@@ -177,12 +165,11 @@ def initial_unknowns(problem: MriProblem) -> BlockVector:
 
 def separable_problem(problem: MriProblem) -> SeparableProblem:
     """Wire the reconstruction instance for either solver."""
-    constraint = assemble_constraint(problem)
+    g = CoilGradOperator(problem.n_coils, problem.shape)
     return SeparableProblem(
-        g=constraint.g,
+        g=g,
         prox_h=IdentityProx(),
         prox_j=assemble_prox_j(problem),
         u0=initial_unknowns(problem),
-        mu0=BlockVector.zeros_like(constraint.target),
-        target=constraint.target,
+        mu0=BlockVector.zeros(g.v_shapes),
     )

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .admm import (AdmmSolver, Problem, Solver, SolverConfig,
-                   SolverDivergence, SolverState)
+from .admm import (Problem, Solver, SolverConfig, SolverDivergence,
+                   SolverState, run as run_admm)
 from .blocks import BlockVector
 from .constraint import LinearMap, NonlinearConstraint
 # unused here, but benchmarks/spans.py patches and checks this attribute
@@ -83,15 +83,16 @@ class SeparableProblem:
     prox_j: ProxOp
     u0: BlockVector
     mu0: BlockVector
-    target: BlockVector  # right-hand side c, zero for the MRI model
 
     def as_admm_problem(self) -> Problem:
+        """The same problem for the ADMM, as G(u) - v = 0 from v = 0."""
         return Problem(
-            constraint=SeparableConstraint(self.g, self.target),
+            constraint=SeparableConstraint(
+                self.g, BlockVector.zeros_like(self.mu0)),
             prox_h=self.prox_h,
             prox_j=self.prox_j,
             u0=self.u0,
-            v0=BlockVector.zeros_like(self.target),
+            v0=BlockVector.zeros_like(self.mu0),
             mu0=self.mu0,
         )
 
@@ -99,7 +100,7 @@ class SeparableProblem:
 class PdhgmSolver(Solver):
     """The dual-first step; its state carries no v.
 
-    Its residual ||mu^{k+1} - mu^k|| / delta is ||G(u^k) - c - v^{k+1}||,
+    Its residual ||mu^{k+1} - mu^k|| / delta is ||G(u^k) - v^{k+1}||,
     the constraint residual of the eliminated v, which is what the ADMM
     records; tau2 is the 1/delta that elimination assumes.
     """
@@ -110,7 +111,7 @@ class PdhgmSolver(Solver):
 
     def step(self, state: SolverState) -> SolverState:
         p, cfg = self.problem, self.cfg
-        b = state.mu + cfg.delta * (p.g.evaluate(state.u) - p.target)
+        b = state.mu + cfg.delta * p.g.evaluate(state.u)
         mu_new = conjugate_apply(p.prox_j, b, cfg.delta)
         mu_bar = 2.0 * mu_new - state.mu
 
@@ -138,35 +139,6 @@ class PdhgmSolver(Solver):
         return state.u, state.mu, report
 
 
-def fixed_point_residual(problem: SeparableProblem, cfg: SolverConfig,
-                         u_prev, mu_prev, u_cur, mu_cur, tau1) -> float:
-    """Diagnostic inclusion residual of one dual-first step.
-
-    Evaluates the monotone-inclusion form of the iteration with the
-    subgradient selections implied by the two prox optimality
-    conditions; exact steps give a residual at rounding level.
-    """
-    p = problem
-    delta = cfg.delta
-    g_prev = p.g.evaluate(u_prev) - p.target
-    jac = p.g.jac(u_prev)
-
-    b = mu_prev + delta * g_prev
-    s_dual = (1.0 / delta) * (b - mu_cur)  # element of dJ*(mu_cur)
-    offset = g_prev - jac.apply(u_prev)
-    r1 = (s_dual - jac.apply(u_cur) - offset
-          + (1.0 / delta) * (mu_cur - mu_prev)
-          + jac.apply(u_cur - u_prev))
-
-    mu_bar = 2.0 * mu_cur - mu_prev
-    w = u_prev - tau1 * jac.adjoint(mu_bar)
-    s_primal = (1.0 / tau1) * (w - u_cur)  # element of dH(u_cur)
-    r2 = (s_primal + jac.adjoint(mu_cur)
-          + (1.0 / tau1) * (u_cur - u_prev)
-          + jac.adjoint(mu_cur - mu_prev))
-    return (r1.norm() ** 2 + r2.norm() ** 2) ** 0.5
-
-
 def equivalence_check(problem: SeparableProblem, cfg: SolverConfig,
                       iterations: int) -> float:
     """Max deviation between the ADMM and dual-first u-sequences.
@@ -179,18 +151,13 @@ def equivalence_check(problem: SeparableProblem, cfg: SolverConfig,
     """
     admm_cfg = replace(cfg, tau2_override=1.0 / cfg.delta,
                        warm_start_opnorm=False,
-                       max_iterations=iterations + 1,
-                       residual_tol=None)
-    admm_problem = problem.as_admm_problem()
+                       max_iterations=iterations + 1)
     u_hist = []
-    solver = AdmmSolver(admm_problem.constraint, admm_problem.prox_h,
-                        admm_problem.prox_j, admm_cfg)
-    solver.run(admm_problem.u0, admm_problem.v0, admm_problem.mu0,
-               callbacks=[lambda st: u_hist.append(st.u)])
+    run_admm(problem.as_admm_problem(), admm_cfg,
+             callbacks=[lambda st: u_hist.append(st.u)])
 
-    pd_problem = replace(problem, u0=u_hist[0], mu0=problem.mu0)
-    pd_cfg = replace(cfg, warm_start_opnorm=False, max_iterations=iterations,
-                     residual_tol=None)
+    pd_problem = replace(problem, u0=u_hist[0])
+    pd_cfg = replace(cfg, warm_start_opnorm=False, max_iterations=iterations)
     pd_hist = []
     PdhgmSolver(pd_problem, pd_cfg).run(
         callbacks=[lambda u, mu: pd_hist.append(u)]

@@ -8,8 +8,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from .admm import AdmmSolver, SolverConfig
-from .dataset import Dataset, ReconstructionRecord
+from . import admm
+from .admm import SolverConfig
+from .dataset import Dataset, ReconstructionRecord, atomic_write
 from .metrics import format_metrics, psnr, write_pgm, zero_fill_baseline
 from .mri import MriProblem, separable_problem
 from .pdhgm import PdhgmSolver, equivalence_check
@@ -35,7 +36,6 @@ class ExperimentConfig:
     lam: object
     alpha0: float
     alpha: object
-    tv_shrink: str = "pixel"
     output: str = "out"
 
     def validate(self) -> "ExperimentConfig":
@@ -51,41 +51,52 @@ class ExperimentConfig:
         return self
 
 
+SECTIONS = ("phantom", "coils", "sampling", "solver", "weights")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a validated config from nested key/value data."""
+    """Build a validated config from nested key/value data.
+
+    Each key is popped as it is read, so a key left over is unknown and
+    is rejected instead of silently ignored.
+    """
+    raw = dict(raw)
+    sections = [raw.pop(name, {}) for name in SECTIONS]
+    if not all(isinstance(section, dict) for section in sections):
+        raise ConfigError(f"config sections {SECTIONS} must be mappings")
+    ph, co, sa, so, we = sections = [dict(section) for section in sections]
     try:
-        ph = raw.get("phantom", {})
-        co = raw.get("coils", {})
-        sa = raw.get("sampling", {})
-        so = raw.get("solver", {})
-        we = raw.get("weights", {})
         cfg = ExperimentConfig(
-            phantom=PhantomSpec(size=int(ph.get("size", 190))),
-            coils=int(co.get("count", 8)),
-            coil_seed=int(co.get("seed", 1)),
+            phantom=PhantomSpec(size=int(ph.pop("size", 190))),
+            coils=int(co.pop("count", 8)),
+            coil_seed=int(co.pop("seed", 1)),
             sampling=SamplingSpec(
-                fraction=float(sa.get("fraction", 0.25)),
-                turns=float(sa.get("turns", 12.0)),
-                sigma=float(sa.get("sigma", 0.05)),
-                noise_seed=int(sa.get("seed", 0)),
+                fraction=float(sa.pop("fraction", 0.25)),
+                turns=float(sa.pop("turns", 12.0)),
+                sigma=float(sa.pop("sigma", 0.05)),
+                noise_seed=int(sa.pop("seed", 0)),
             ),
             solver=SolverConfig(
-                delta=float(so.get("delta", 1.0)),
-                theta=float(so.get("theta", 0.99)),
-                max_iterations=int(so.get("iterations", 1500)),
-                power_iter_tol=float(so.get("power_iter_tol", 1e-7)),
-                power_iter_max=int(so.get("power_iter_max", 100)),
-                seed=int(so.get("seed", 0)),
+                delta=float(so.pop("delta", 1.0)),
+                theta=float(so.pop("theta", 0.99)),
+                max_iterations=int(so.pop("iterations", 1500)),
+                power_iter_tol=float(so.pop("power_iter_tol", 1e-7)),
+                power_iter_max=int(so.pop("power_iter_max", 100)),
+                seed=int(so.pop("seed", 0)),
             ),
-            algorithm=str(so.get("algorithm", "admm")),
-            lam=we.get("lam", 0.0621),
-            alpha0=float(we.get("alpha0", 0.062)),
-            alpha=we.get("alpha", 0.9317),
-            tv_shrink=str(we.get("tv_shrink", "pixel")),
-            output=str(raw.get("output", "out")),
+            algorithm=str(so.pop("algorithm", "admm")),
+            lam=we.pop("lam", 0.0621),
+            alpha0=float(we.pop("alpha0", 0.062)),
+            alpha=we.pop("alpha", 0.9317),
+            output=str(raw.pop("output", "out")),
         )
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
+    unknown = [str(key) for key in raw] + [
+        f"{name}.{key}" for name, section in zip(SECTIONS, sections)
+        for key in section]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return cfg.validate()
 
 
@@ -144,7 +155,6 @@ def mri_problem(dataset: Dataset, cfg: ExperimentConfig) -> MriProblem:
         return MriProblem(
             mask=dataset.mask, data=dataset.data,
             lam=lam, alpha0=cfg.alpha0, alpha=cfg.alpha,
-            tv_shrink=cfg.tv_shrink,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem: {exc}") from exc
@@ -156,13 +166,10 @@ def reconstruct(dataset: Dataset, cfg: ExperimentConfig):
     if cfg.algorithm == "admm":
         # B = -I, so tau2 is eliminated in favor of 1/delta
         solver_cfg = replace(cfg.solver, tau2_override=1.0 / cfg.solver.delta)
-        ap = problem.as_admm_problem()
-        solver = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j, solver_cfg)
-        state, report = solver.run(ap.u0, ap.v0, ap.mu0)
+        state, report = admm.run(problem.as_admm_problem(), solver_cfg)
         final_u = state.u
     else:
-        u, _mu, report = PdhgmSolver(problem, cfg.solver).run()
-        final_u = u
+        final_u, _mu, report = PdhgmSolver(problem, cfg.solver).run()
     record = ReconstructionRecord(
         u=final_u[0],
         coil_maps=[final_u[j] for j in range(1, dataset.n_coils + 1)],
@@ -189,11 +196,10 @@ def evaluate(record: ReconstructionRecord, dataset: Dataset) -> dict:
 
 
 def run_equivalence(dataset: Dataset, cfg: ExperimentConfig,
-                    iterations: int | None = None) -> float:
+                    iterations: int) -> float:
     """Max ADMM / dual-first deviation on this dataset's problem."""
     problem = separable_problem(mri_problem(dataset, cfg))
-    iters = iterations if iterations is not None else cfg.solver.max_iterations
-    return equivalence_check(problem, cfg.solver, iters)
+    return equivalence_check(problem, cfg.solver, iterations)
 
 
 # --- file layout helpers used by the CLI ---
@@ -208,18 +214,15 @@ def record_path(out_dir) -> str:
 
 def write_outputs(out_dir, record: ReconstructionRecord, report):
     record.save(record_path(out_dir))
-    with open(os.path.join(out_dir, "convergence.txt"), "w") as fh:
-        fh.write(report.to_text())
+    atomic_write(os.path.join(out_dir, "convergence.txt"),
+                 [report.to_text().encode()])
     write_pgm(os.path.join(out_dir, "recon_u.pgm"), record.u)
     for j, c in enumerate(record.coil_maps):
         write_pgm(os.path.join(out_dir, f"recon_coil_{j}.pgm"), c)
 
 
 def write_metrics(out_dir, values: dict) -> str:
+    """Write ``<out_dir>/metrics.txt``; returns its text."""
     text = format_metrics(values)
-    path = os.path.join(out_dir, "metrics.txt")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-    return path
+    atomic_write(os.path.join(out_dir, "metrics.txt"), [text.encode()])
+    return text

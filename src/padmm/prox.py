@@ -32,9 +32,6 @@ class ProxOp:
     def penalty(self, x) -> float:
         raise NotImplementedError
 
-    def __call__(self, w, tau: float):
-        return self.apply(w, tau)
-
 
 class IdentityProx(ProxOp):
     """Resolvent of E = 0: returns its argument unchanged."""

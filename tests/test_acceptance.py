@@ -253,7 +253,6 @@ class TestCriterion5:
             prox_j=QuadraticAnchorProx(random_like(BlockVector.zeros(cod), rng), 1.0),
             u0=random_like(BlockVector.zeros(dom), rng),
             mu0=random_like(BlockVector.zeros(cod), rng),
-            target=BlockVector.zeros(cod),
         )
         cfg = SolverConfig(delta=0.8, max_iterations=60,
                            power_iter_tol=1e-12, power_iter_max=2000)
@@ -321,7 +320,7 @@ class TestCriterion8:
 
     def _one_step(self, problem, cfg, u):
         """Coil changes of one PDHGM and one matching ADMM step from u."""
-        mu0 = BlockVector.zeros_like(problem.target)
+        mu0 = BlockVector.zeros_like(problem.mu0)
         pd = PdhgmSolver(problem, cfg).step(
             SolverState(u=u, v=None, mu=mu0, mu_bar=mu0))
         ap = problem.as_admm_problem()

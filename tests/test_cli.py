@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 import yaml
@@ -105,6 +108,20 @@ def test_out_override_redirects(workspace, tmp_path):
     assert (other / "dataset.pad").exists()
 
 
+def _swap(old, new):
+    """A dataset corruption that replaces the one occurrence of ``old``."""
+    def corrupt(raw):
+        assert raw.count(old) == 1
+        return raw.replace(old, new)
+    return corrupt
+
+
+def _nan_kspace(raw):
+    # the first k-space sample follows the header and the 32x32 mask
+    at = raw.index(b"end-header\n") + len(b"end-header\n") + 32 * 32 * 16
+    return raw[:at] + struct.pack("<d", math.nan) + raw[at + 8:]
+
+
 class TestValidationFailures:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config",
@@ -157,29 +174,75 @@ class TestValidationFailures:
         assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
         assert "unreachable" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("old, new", [
-        pytest.param(b"sigma: ", b"sigma: \xff\xfe", id="non-utf8"),
-        pytest.param(b"end-header", b"block: x\nend-header", id="block-x"),
-        pytest.param(b"end-header", b"block: x a b\nend-header",
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(_swap(b"sigma: ", b"sigma: \xff\xfe"), id="non-utf8"),
+        pytest.param(_swap(b"end-header", b"block: x\nend-header"),
+                     id="block-x"),
+        pytest.param(_swap(b"end-header", b"block: x a b\nend-header"),
                      id="block-x-a-b"),
-        pytest.param(b"end-header", b"block: x -1 4\nend-header",
+        pytest.param(_swap(b"end-header", b"block: x -1 4\nend-header"),
                      id="negative-shape"),
-        pytest.param(b"end-header", b"block: x 100000 100000\nend-header",
+        pytest.param(_swap(b"end-header",
+                           b"block: x 100000 100000\nend-header"),
                      id="shape-beyond-file"),
-        pytest.param(b"\nn: 2\n", b"\nn: 3\n", id="missing-block"),
+        pytest.param(_swap(b"\nn: 2\n", b"\nn: 3\n"), id="missing-block"),
+        pytest.param(_swap(b"\nn: 2\n", b"\nn: 0\n"), id="no-coils"),
+        pytest.param(_swap(b"block: kspace_0 32 32", b"block: kspace_0 16 32"),
+                     id="kspace-shape"),
+        pytest.param(_nan_kspace, id="nan-kspace"),
     ])
-    def test_malformed_dataset_header(self, workspace, capsys, old, new):
+    def test_malformed_dataset_header(self, workspace, capsys, corrupt):
         config, out = workspace
         main(["simulate", "--config", str(config)])
         path = out / "dataset.pad"
-        raw = path.read_bytes()
-        assert raw.count(old) == 1
-        path.write_bytes(raw.replace(old, new))
+        path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(ContainerFormatError):
             Dataset.load(path)
-        capsys.readouterr()
-        assert main(["reconstruct", "--config", str(config)]) == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: ")
+        for command in ("reconstruct", "baseline", "eval", "equivalence"):
+            capsys.readouterr()
+            assert main([command, "--config", str(config)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("section, key", [
+        ("solver", "iteration"), (None, "phantm"), ("weights", "tv_shrink"),
+    ])
+    def test_unknown_config_key(self, workspace, capsys, section, key):
+        config, _ = workspace
+        raw = yaml.safe_load(config.read_text())
+        (raw[section] if section else raw)[key] = 10
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("reconstruct", "--seed"), ("baseline", "--seed"), ("eval", "--seed"),
+        ("equivalence", "--seed"), ("simulate", "--iters"),
+        ("baseline", "--iters"), ("eval", "--iters"),
+    ])
+    def test_flag_the_command_does_not_use(self, workspace, command, flag):
+        config, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), flag, "3"])
+        assert exc.value.code == EXIT_VALIDATION
+
+
+def test_pdhgm_divergence_exits_3_and_eval_still_reports(workspace, capsys):
+    config, out = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["solver"]["algorithm"] = "pdhgm"
+    config.write_text(yaml.safe_dump(raw))
+    main(["simulate", "--config", str(config)])
+    path = out / "dataset.pad"
+    dataset = Dataset.load(path)
+    dataset.data = [1e300 * f for f in dataset.data]
+    dataset.save(path)
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["reconstruct", "--config", str(config)]) == EXIT_SOLVER
+        assert "non-finite iterate" in capsys.readouterr().err
+        assert main(["eval", "--config", str(config)]) == EXIT_OK
+    values = parse_metrics((out / "metrics.txt").read_text())
+    assert float(values["psnr_recon_db"]) == -math.inf
 
 
 def test_solver_abort_exit_code(workspace, monkeypatch, capsys):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padmm.dataset import (MAGIC_DATASET, ContainerFormatError, Dataset,
                            ReconstructionRecord, read_container,
                            write_container)
 
 
-@pytest.fixture
-def dataset(tmp_path):
+def small_dataset():
     rng = np.random.default_rng(0)
     mask = (rng.uniform(size=(8, 8)) < 0.5).astype(float)
     mask[0, 0] = 1.0
@@ -19,6 +20,11 @@ def dataset(tmp_path):
     return Dataset(mask=mask, data=data, sigma=0.05, noise_seed=7,
                    coil_seed=11, fraction=float(mask.mean()),
                    phantom=phantom, coil_maps=maps)
+
+
+@pytest.fixture
+def dataset():
+    return small_dataset()
 
 
 class TestContainer:
@@ -142,3 +148,50 @@ class TestRecord:
                                                    b"iterations: x"))
         with pytest.raises(ContainerFormatError, match="malformed"):
             ReconstructionRecord.load(path)
+
+
+class TestFuzzedDataset:
+    """A corrupted dataset file either fails to load with a format error
+    or loads as a dataset the solvers can take."""
+
+    @staticmethod
+    @st.composite
+    def corrupted(draw, clean):
+        header_end = clean.index(b"end-header\n")
+        kind = draw(st.sampled_from(["flip", "truncate", "swap"]))
+        if kind == "flip":
+            raw = bytearray(clean)
+            for _ in range(draw(st.integers(1, 3))):
+                # half of the flips land in the header, where a digit or
+                # a minus sign changes a count or a shape
+                at = draw(st.integers(0, header_end)
+                          | st.integers(0, len(clean) - 1))
+                raw[at] = draw(st.sampled_from(b"0123456789-")
+                               | st.integers(0, 255))
+            return bytes(raw)
+        if kind == "truncate":
+            return clean[:draw(st.integers(0, len(clean) - 1))]
+        lines = clean[:header_end].split(b"\n")[:-1]
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+        return b"\n".join(lines) + b"\n" + clean[header_end:]
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_load_is_clean_or_format_error(self, tmp_path, data):
+        path = tmp_path / "d.pad"
+        small_dataset().save(path)
+        path.write_bytes(data.draw(self.corrupted(path.read_bytes())))
+        try:
+            loaded = Dataset.load(path)
+        except ContainerFormatError:
+            return
+        assert loaded.n_coils >= 1
+        fields = [loaded.mask] + loaded.data
+        if loaded.phantom is not None:
+            fields += [loaded.phantom] + (loaded.coil_maps or [])
+        for field in fields:
+            assert field.shape == loaded.mask.shape
+            assert np.isfinite(field).all()

@@ -35,6 +35,14 @@ class TestPsnr:
         # moduli agree to rounding, so the score sits at float precision
         assert psnr(truth * np.exp(0.7j), truth) > 250.0
 
+    @pytest.mark.parametrize("recon, truth", [
+        (np.full((4, 4), 1e300), np.ones((4, 4))),  # the MSE overflows
+        (np.ones((4, 4)), np.zeros((4, 4))),        # zero peak
+    ])
+    def test_no_signal_above_the_error_is_minus_inf(self, recon, truth):
+        with np.errstate(over="ignore"):
+            assert psnr(recon, truth) == float("-inf")
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             psnr(np.zeros((2, 2)), np.zeros((3, 3)))

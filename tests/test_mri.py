@@ -4,14 +4,14 @@ import pytest
 from padmm.blocks import BlockVector, random_like
 from padmm.constraint import adjoint_check, fd_jacobian_check
 from padmm.fields import grad
-from padmm.mri import (CoilGradOperator, MriProblem, assemble_constraint,
-                       assemble_prox_j, coil_jacobian, coil_op,
-                       initial_unknowns, separable_problem)
+from padmm.mri import (CoilGradOperator, MriProblem, assemble_prox_j,
+                       coil_jacobian, coil_op, initial_unknowns,
+                       separable_problem)
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx)
 
 
-def small_problem(n_coils=2, size=6, tv_shrink="pixel", seed=0):
+def small_problem(n_coils=2, size=6, seed=0):
     rng = np.random.default_rng(seed)
     mask = (rng.uniform(size=(size, size)) < 0.5).astype(float)
     mask[0, 0] = 1.0
@@ -19,7 +19,7 @@ def small_problem(n_coils=2, size=6, tv_shrink="pixel", seed=0):
                     + 1j * rng.standard_normal((size, size)))
             for _ in range(n_coils)]
     return MriProblem(mask=mask, data=data, lam=0.5, alpha0=0.1,
-                      alpha=0.9, tv_shrink=tv_shrink)
+                      alpha=0.9)
 
 
 class TestCoilOperator:
@@ -122,18 +122,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="finite"):
             MriProblem(mask=p.mask, data=p.data, **{**weights, name: value})
 
-    def test_unknown_shrink_mode_rejected(self):
-        p = small_problem()
-        with pytest.raises(ValueError):
-            MriProblem(mask=p.mask, data=p.data, lam=p.lam,
-                       alpha0=p.alpha0, alpha=p.alpha, tv_shrink="huber")
-
 
 class TestAssembly:
     def test_constraint_feasible_at_lifted_point(self):
         rng = np.random.default_rng(5)
         p = small_problem()
-        F = assemble_constraint(p)
+        F = separable_problem(p).as_admm_problem().constraint
         u = random_like(BlockVector.zeros(F.g.u_shapes), rng)
         v = F.g.evaluate(u)
         assert (F.evaluate(u, v)).norm() == 0
@@ -147,11 +141,6 @@ class TestAssembly:
                          GroupShrinkProx, GlobalShrinkProx, GlobalShrinkProx]
         assert prox.children[2].alpha == p.alpha0
 
-    def test_global_tv_variant(self):
-        p = small_problem(tv_shrink="global")
-        prox = assemble_prox_j(p)
-        assert type(prox.children[p.n_coils]) is GlobalShrinkProx
-
     def test_initial_unknowns_all_ones(self):
         p = small_problem(n_coils=3)
         u0 = initial_unknowns(p)
@@ -164,6 +153,5 @@ class TestAssembly:
         sp = separable_problem(p)
         assert isinstance(sp.prox_h, IdentityProx)
         assert sp.mu0.norm() == 0
-        assert sp.target.norm() == 0
         assert sp.u0.shapes == sp.g.u_shapes
         assert sp.mu0.shapes == sp.g.v_shapes
