@@ -5,9 +5,8 @@ parallel-MRI reconstruction experiment pipeline."""
 from .admm import (AdmmSolver, ConvergenceReport, Problem, SolverConfig,
                    SolverDivergence, SolverState, run)
 from .blocks import BlockVector, random_like
-from .constraint import (CallableConstraint, LinearMap, NonlinearConstraint,
-                         adjoint_check, fd_jacobian_check)
-from .fields import dft2, grad, grad_adjoint, idft2, inner, norm2
+from .constraint import LinearMap, NonlinearConstraint
+from .fields import dft2, grad, grad_adjoint, idft2
 from .mri import (CoilGradOperator, MriProblem, assemble_prox_j,
                   coil_jacobian, coil_op, initial_unknowns, separable_problem)
 from .opnorm import estimate_opnorm
@@ -17,7 +16,7 @@ from .phantom import (PhantomSpec, SamplingSpec, TissueParams, TISSUES,
                       build_phantom, flair_signal, make_coil_maps,
                       simulate_kspace, spiral_mask)
 from .prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
-                   IdentityProx, ProxOp, QuadraticAnchorProx,
-                   SeparableSumProx, conjugate_apply)
+                   IdentityProx, ProxOp, SeparableSumProx,
+                   conjugate_apply)
 
 __version__ = "0.1.0"

@@ -4,14 +4,15 @@ One iteration, in order:
 
 1. freeze the u-Jacobian A at (u^k, v^k) and set tau1 = theta / (delta ||A||^2),
 2. u^{k+1} = prox_H(u^k - tau1 A* mubar^k),
-3. freeze the v-Jacobian B at (u^{k+1}, v^k) and set tau2 analogously
-   (or take the configured override, e.g. 1/delta when B = -I),
+3. freeze the v-Jacobian B at (u^{k+1}, v^k) and set tau2 analogously;
+   when B = -I, tau2 = 1/delta instead (the exact v-minimization,
+   Q2 = 0), and a configured override takes precedence over both,
 4. v^{k+1} = prox_J(v^k - tau2 B* (mu^k + delta (F(u^{k+1}, v^k) - c))),
 5. mu^{k+1} = mu^k + delta (F(u^{k+1}, v^{k+1}) - c),
 6. mubar^{k+1} = 2 mu^{k+1} - mu^k.
 
 The quadratic surrogates that make the subproblems explicit are never
-materialized; their effect is exactly the proximal form above, with
+formed as matrices; their effect is exactly the proximal form above, with
 positive definiteness guaranteed by tau * delta * ||op||^2 = theta < 1.
 """
 
@@ -21,6 +22,8 @@ import math
 import time
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .blocks import BlockVector
 from .constraint import LinearMap, NonlinearConstraint
@@ -147,18 +150,21 @@ class Solver:
         residuals, tau1s, tau2s = [], [], []
         aborted, abort_message = False, ""
         t0 = time.perf_counter()
-        for _ in range(self.cfg.max_iterations):
-            try:
-                state = self.step(state)
-            except SolverDivergence as exc:
-                state = exc.last_state
-                aborted, abort_message = True, str(exc)
-                break
-            residuals.append(state.residual)
-            tau1s.append(state.tau1)
-            tau2s.append(state.tau2)
-            for cb in callbacks or ():
-                cb(state)
+        # a diverging iterate overflows before it turns non-finite; the
+        # SolverDivergence abort reports that once, so numpy stays quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.cfg.max_iterations):
+                try:
+                    state = self.step(state)
+                except SolverDivergence as exc:
+                    state = exc.last_state
+                    aborted, abort_message = True, str(exc)
+                    break
+                residuals.append(state.residual)
+                tau1s.append(state.tau1)
+                tau2s.append(state.tau2)
+                for cb in callbacks or ():
+                    cb(state)
         report = ConvergenceReport(
             iterations=state.k, residuals=residuals, tau1s=tau1s, tau2s=tau2s,
             wall_ms=(time.perf_counter() - t0) * 1e3,
@@ -190,7 +196,7 @@ class AdmmSolver(Solver):
         if cfg.tau2_override is not None:
             tau2 = cfg.tau2_override
         elif getattr(F, "jac_v_is_neg_identity", False):
-            tau2 = cfg.theta / cfg.delta
+            tau2 = 1.0 / cfg.delta
         else:
             tau2 = self.step_size(b, "b")
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .blocks import BlockVector, random_like
+from .blocks import BlockVector
 
 
 @dataclass(frozen=True)
@@ -24,19 +22,6 @@ class LinearMap:
     adjoint: Callable[[BlockVector], BlockVector]
     domain_shapes: tuple
     codomain_shapes: tuple
-
-    def materialize(self) -> np.ndarray:
-        """Dense matrix of the map; small-problem test oracle only."""
-        n = sum(int(np.prod(s)) for s in self.domain_shapes)
-        if n > 8 * 8 * 8:
-            raise ValueError("dense materialization is restricted to tiny maps")
-        cols = []
-        for k in range(n):
-            e = np.zeros(n, dtype=np.complex128)
-            e[k] = 1.0
-            x = BlockVector.from_ravel(e, self.domain_shapes)
-            cols.append(self.apply(x).ravel())
-        return np.stack(cols, axis=1)
 
 
 class NonlinearConstraint:
@@ -57,52 +42,3 @@ class NonlinearConstraint:
 
     def jac_v(self, u: BlockVector, v: BlockVector) -> LinearMap:
         raise NotImplementedError
-
-
-class CallableConstraint(NonlinearConstraint):
-    """Constraint assembled from plain callables (tests and toys)."""
-
-    def __init__(self, evaluate, jac_u, jac_v, target):
-        super().__init__(target)
-        self._evaluate = evaluate
-        self._jac_u = jac_u
-        self._jac_v = jac_v
-
-    def evaluate(self, u, v):
-        return self._evaluate(u, v)
-
-    def jac_u(self, u, v):
-        return self._jac_u(u, v)
-
-    def jac_v(self, u, v):
-        return self._jac_v(u, v)
-
-
-def fd_jacobian_check(
-    op: Callable[[BlockVector], BlockVector],
-    jac: LinearMap,
-    base: BlockVector,
-    direction: BlockVector,
-    eps: float = 1e-6,
-) -> float:
-    """Relative error of ``jac`` against a central finite difference.
-
-    Independent oracle: ||(op(base + eps d) - op(base - eps d)) / (2 eps)
-    - J d|| / max(||J d||, 1e-300).
-    """
-    fwd = op(base + eps * direction)
-    bwd = op(base - eps * direction)
-    fd = (1.0 / (2.0 * eps)) * (fwd - bwd)
-    jd = jac.apply(direction)
-    denom = max(jd.norm(), 1e-300)
-    return (fd - jd).norm() / denom
-
-
-def adjoint_check(jac: LinearMap, rng: np.random.Generator) -> float:
-    """Relative error of <J h, w> = <h, J* w> on random directions."""
-    h = random_like(BlockVector.zeros(jac.domain_shapes), rng)
-    w = random_like(BlockVector.zeros(jac.codomain_shapes), rng)
-    lhs = jac.apply(h).inner(w)
-    rhs = h.inner(jac.adjoint(w))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale

@@ -142,6 +142,18 @@ def _entries(path):
             f"{path}: missing or malformed header entry: {exc}") from None
 
 
+def _check_fields(path, ref: str, fields):
+    """Reject a field not shaped like the first, ``ref``, or not finite."""
+    shape = fields[0].shape
+    for field in fields:
+        if field.shape != shape:
+            raise ContainerFormatError(
+                f"{path}: block shape {field.shape} differs from the "
+                f"{ref}'s {shape}")
+        if not np.isfinite(field).all():
+            raise ContainerFormatError(f"{path}: non-finite samples")
+
+
 @dataclass
 class Dataset:
     """One simulated acquisition with optional ground truth."""
@@ -208,13 +220,7 @@ class Dataset:
         if not data:
             raise ContainerFormatError(f"{path}: dataset has no coils")
         truth = [] if phantom is None else [phantom] + (coil_maps or [])
-        for field in [mask] + data + truth:
-            if field.shape != mask.shape:
-                raise ContainerFormatError(
-                    f"{path}: block shape {field.shape} differs from the "
-                    f"mask's {mask.shape}")
-            if not np.isfinite(field).all():
-                raise ContainerFormatError(f"{path}: non-finite samples")
+        _check_fields(path, "mask", [mask] + data + truth)
         return dataset
 
 
@@ -246,10 +252,12 @@ class ReconstructionRecord:
 
     @classmethod
     def load(cls, path) -> "ReconstructionRecord":
+        """Read a record; every coil block shaped like ``u`` and every
+        sample finite, or :class:`ContainerFormatError`."""
         meta, blocks = read_container(path, MAGIC_RECORD)
         with _entries(path):
             n = int(meta["n"])
-            return cls(
+            record = cls(
                 u=blocks["u"],
                 coil_maps=[blocks[f"coil_{j}"] for j in range(n)],
                 algorithm=meta["algorithm"],
@@ -257,3 +265,5 @@ class ReconstructionRecord:
                 final_residual=float(meta["final_residual"]),
                 wall_ms=float(meta["wall_ms"]),
             )
+        _check_fields(path, "u", [record.u] + record.coil_maps)
+        return record

@@ -1,6 +1,6 @@
 """Dual-first primal-dual method for separable constraints F(u, v) = G(u) - v.
 
-With B = -I the v-step can use tau2 = 1/delta; folding the v- and
+With B = -I the ADMM's v-step uses tau2 = 1/delta; folding the v- and
 mu-updates together through Moreau's identity eliminates v entirely and
 leaves a primal-dual iteration whose extrapolation acts on the dual
 variable:
@@ -37,18 +37,6 @@ class SeparableOperator:
 
     def jac(self, u: BlockVector) -> LinearMap:
         raise NotImplementedError
-
-
-class CallableOperator(SeparableOperator):
-    def __init__(self, evaluate, jac):
-        self._evaluate = evaluate
-        self._jac = jac
-
-    def evaluate(self, u):
-        return self._evaluate(u)
-
-    def jac(self, u):
-        return self._jac(u)
 
 
 class SeparableConstraint(NonlinearConstraint):
@@ -143,14 +131,13 @@ def equivalence_check(problem: SeparableProblem, cfg: SolverConfig,
                       iterations: int) -> float:
     """Max deviation between the ADMM and dual-first u-sequences.
 
-    Runs the full ADMM with tau2 = 1/delta on F(u, v) = G(u) - v, then
+    Runs the full ADMM (tau2 = 1/delta, as B = -I) on F(u, v) = G(u) - v, then
     the dual-first iteration started from the ADMM's first u-iterate,
     and compares after the one-index shift induced by the reordering.
     Warm-started norm estimation is disabled so both solvers obtain
     bit-identical step sizes for identical base points.
     """
-    admm_cfg = replace(cfg, tau2_override=1.0 / cfg.delta,
-                       warm_start_opnorm=False,
+    admm_cfg = replace(cfg, warm_start_opnorm=False,
                        max_iterations=iterations + 1)
     u_hist = []
     run_admm(problem.as_admm_problem(), admm_cfg,

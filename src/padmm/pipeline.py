@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -164,9 +164,7 @@ def reconstruct(dataset: Dataset, cfg: ExperimentConfig):
     """Run the configured solver; returns (record, report)."""
     problem = separable_problem(mri_problem(dataset, cfg))
     if cfg.algorithm == "admm":
-        # B = -I, so tau2 is eliminated in favor of 1/delta
-        solver_cfg = replace(cfg.solver, tau2_override=1.0 / cfg.solver.delta)
-        state, report = admm.run(problem.as_admm_problem(), solver_cfg)
+        state, report = admm.run(problem.as_admm_problem(), cfg.solver)
         final_u = state.u
     else:
         final_u, _mu, report = PdhgmSolver(problem, cfg.solver).run()
@@ -185,6 +183,9 @@ def evaluate(record: ReconstructionRecord, dataset: Dataset) -> dict:
     """PSNR of the reconstruction and the zero-filling baseline."""
     if dataset.phantom is None:
         raise ConfigError("dataset has no ground truth; cannot evaluate")
+    if record.u.shape != dataset.shape:
+        raise ConfigError(f"reconstruction grid {record.u.shape} differs "
+                          f"from the dataset's {dataset.shape}")
     baseline = zero_fill_baseline(dataset.data)
     return {
         "psnr_recon_db": psnr(record.u, dataset.phantom),

@@ -43,24 +43,6 @@ class IdentityProx(ProxOp):
         return 0.0
 
 
-class QuadraticAnchorProx(ProxOp):
-    """E(x) = weight/2 ||x - anchor||^2 (toy problems and oracles)."""
-
-    def __init__(self, anchor, weight: float = 1.0):
-        self.anchor = anchor
-        self.weight = float(weight)
-
-    def apply(self, w, tau):
-        s = tau * self.weight
-        return (1.0 / (1.0 + s)) * (w + s * self.anchor)
-
-    def penalty(self, x):
-        d = x - self.anchor
-        if isinstance(d, BlockVector):
-            return 0.5 * self.weight * d.norm() ** 2
-        return 0.5 * self.weight * float(np.sum(np.abs(d) ** 2))
-
-
 class FourierFidelityProx(ProxOp):
     """E(x) = lam/2 ||S F x - f||^2 for a binary k-space mask S.
 

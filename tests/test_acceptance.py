@@ -9,7 +9,6 @@ so the suite stays within its runtime budget.
 import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,29 +16,25 @@ import pytest
 from padmm.admm import AdmmSolver, SolverConfig, SolverState, run
 from padmm.blocks import BlockVector, random_like
 from padmm.cli import EXIT_OK, main
-from padmm.constraint import adjoint_check, fd_jacobian_check
 from padmm.dataset import Dataset
-from padmm.fields import dft2, grad, grad_adjoint, idft2, inner
-from padmm.metrics import parse_metrics
+from padmm.fields import dft2, grad, grad_adjoint, idft2
 from padmm.mri import CoilGradOperator, coil_jacobian, separable_problem
 from padmm.pdhgm import PdhgmSolver, equivalence_check
 from padmm.phantom import flair_signal
 from padmm.pipeline import (config_from_dict, evaluate, mri_problem,
                             reconstruct, simulate)
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
-                        IdentityProx, QuadraticAnchorProx, conjugate_apply)
+                        IdentityProx, conjugate_apply)
 
-from test_admm import affine_constraint, scalar_consensus
+from oracles import (QuadraticAnchorProx, adjoint_check, affine_constraint,
+                     fd_jacobian_check, random_field, random_gradient)
+from test_admm import scalar_consensus
 
 
 def report(num, label, ok, detail=""):
     print(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'}",
           file=sys.stderr)
     assert ok, f"criterion {num} ({label}) failed{': ' + detail if detail else ''}"
-
-
-def random_field(rng, h, w):
-    return rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
 
 
 # --- acceptance configs: full runs for criterion 7, one step for criterion 8 ---
@@ -80,12 +75,12 @@ class TestCriterion1:
 
         for h, w in ((7, 5), (16, 16), (32, 32)):
             u = random_field(rng, h, w)
-            g = rng.standard_normal((2, h, w)) + 1j * rng.standard_normal((2, h, w))
-            lhs, rhs = inner(grad(u), g), inner(u, grad_adjoint(g))
+            g = random_gradient(rng, h, w)
+            lhs, rhs = np.vdot(g, grad(u)), np.vdot(grad_adjoint(g), u)
             ok &= abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
             x, y = random_field(rng, h, w), random_field(rng, h, w)
-            lhs, rhs = inner(dft2(x), y), inner(x, idft2(y))
+            lhs, rhs = np.vdot(y, dft2(x)), np.vdot(idft2(y), x)
             ok &= abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
         for n_coils, size in ((2, 16), (4, 32)):
@@ -115,10 +110,8 @@ class TestCriterion2:
             (IdentityProx(), random_field(rng, 4, 4)),
             (QuadraticAnchorProx(anchor, 1.3), random_field(rng, 4, 4)),
             (FourierFidelityProx(0.7, mask, f), random_field(rng, 4, 4)),
-            (GroupShrinkProx(0.8),
-             rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))),
-            (GlobalShrinkProx(0.8),
-             rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))),
+            (GroupShrinkProx(0.8), random_gradient(rng)),
+            (GlobalShrinkProx(0.8), random_gradient(rng)),
         ]
 
     def test_prox_suite(self):
@@ -245,7 +238,7 @@ class TestCriterion5:
         # (a) quadratic consensus toy, rewritten as a separable problem
         rng = np.random.default_rng(3)
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        from test_pdhgm import denoising_problem, matrix_operator
+        from test_pdhgm import matrix_operator
         from padmm.pdhgm import SeparableProblem
         g, dom, cod = matrix_operator(m)
         toy = SeparableProblem(
@@ -324,8 +317,7 @@ class TestCriterion8:
         pd = PdhgmSolver(problem, cfg).step(
             SolverState(u=u, v=None, mu=mu0, mu_bar=mu0))
         ap = problem.as_admm_problem()
-        admm = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
-                          replace(cfg, tau2_override=1.0 / cfg.delta))
+        admm = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j, cfg)
         state = admm.step(SolverState(u=u, v=problem.g.evaluate(u),
                                       mu=pd.mu, mu_bar=pd.mu_bar))
         return (pd.mu_bar, self._coil_change(u, pd.u),

@@ -4,26 +4,10 @@ import pytest
 from padmm.admm import (AdmmSolver, Problem, SolverConfig, SolverDivergence,
                         SolverState, run)
 from padmm.blocks import BlockVector, random_like
-from padmm.constraint import CallableConstraint, LinearMap
-from padmm.prox import IdentityProx, QuadraticAnchorProx
+from padmm.constraint import LinearMap
+from padmm.prox import IdentityProx
 
-
-def affine_constraint(k, c):
-    """F(u, v) = K u - v with dense K, target c."""
-    dom = ((k.shape[1],),)
-    cod = ((k.shape[0],),)
-    kmap = LinearMap(
-        apply=lambda x: BlockVector.from_ravel(k @ x.ravel(), cod),
-        adjoint=lambda y: BlockVector.from_ravel(k.conj().T @ y.ravel(), dom),
-        domain_shapes=dom, codomain_shapes=cod,
-    )
-    neg_id = LinearMap(lambda h: -h, lambda w: -w, cod, cod)
-    return CallableConstraint(
-        evaluate=lambda u, v: kmap.apply(u) - v,
-        jac_u=lambda u, v: kmap,
-        jac_v=lambda u, v: neg_id,
-        target=c,
-    )
+from oracles import CallableConstraint, QuadraticAnchorProx, affine_constraint
 
 
 def scalar_consensus():
@@ -111,6 +95,13 @@ class TestStepSizes:
         _, report = run(problem, cfg)
         assert report.tau2s == [0.123] * 3
 
+    def test_opnorm_budget_warning_reaches_the_caller(self):
+        # the run loop silences numpy's overflow warnings, not this one
+        problem, _, _ = scalar_consensus()
+        cfg = SolverConfig(max_iterations=1, power_iter_max=1)
+        with pytest.warns(RuntimeWarning, match="power iteration"):
+            run(problem, cfg)
+
 
 class TestDeterminism:
     def test_repeat_runs_bit_identical(self):
@@ -188,6 +179,44 @@ class TestSurrogateAlgebra:
         mu_direct = mu_k + delta * (F.evaluate(state.u, state.v) - c)
         assert (state.mu - mu_direct).norm() == 0
         assert (state.mu_bar - (2.0 * state.mu - mu_k)).norm() == 0
+
+    def test_general_b_v_update_matches_direct_solve(self):
+        # a non-square complex M: a swapped apply/adjoint or a wrong
+        # norm in the v-step cannot hide behind B* = B and ||B|| = 1
+        rng = np.random.default_rng(3)
+        n, p = 6, 4
+        k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+        norm_m = np.linalg.svd(m, compute_uv=False)[0]
+        c = random_like(BlockVector.zeros(((n,),)), rng)
+        F = affine_constraint(k, c, m)
+
+        wj = 1.3
+        anchor_v = random_like(BlockVector.zeros(((p,),)), rng)
+        u_k = random_like(BlockVector.zeros(((n,),)), rng)
+        v_k = random_like(BlockVector.zeros(((p,),)), rng)
+        mu_k = random_like(BlockVector.zeros(((n,),)), rng)
+        delta, theta = 0.7, 0.9
+        cfg = SolverConfig(delta=delta, theta=theta, max_iterations=1,
+                           power_iter_tol=1e-14, power_iter_max=5000)
+        solver = AdmmSolver(F, IdentityProx(),
+                            QuadraticAnchorProx(anchor_v, wj), cfg)
+        state = solver.step(SolverState(u=u_k, v=v_k, mu=mu_k, mu_bar=mu_k))
+
+        assert abs(state.tau2 * delta * norm_m ** 2 - theta) < 1e-6
+
+        # v-subproblem: stationarity of J(v) + <mu, M v>
+        # + delta/2 ||K u+ + M v - c||^2 + 1/2 ||v - v_k||_Q2^2
+        eye = np.eye(p, dtype=complex)
+        mhm = m.conj().T @ m
+        q2 = (1.0 / state.tau2) * eye - delta * mhm
+        m_v = wj * eye + delta * mhm + q2
+        rhs_v = (wj * anchor_v.ravel() - m.conj().T @ mu_k.ravel()
+                 - delta * m.conj().T @ (k @ state.u.ravel() - c.ravel())
+                 + q2 @ v_k.ravel())
+        v_direct = np.linalg.solve(m_v, rhs_v)
+        scale = max(np.linalg.norm(v_direct), 1.0)
+        assert np.linalg.norm(state.v.ravel() - v_direct) <= 1e-10 * scale
 
 
 class TestDivergenceHandling:

@@ -8,7 +8,8 @@ import yaml
 from padmm.admm import ConvergenceReport
 from padmm.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from padmm.dataset import ContainerFormatError, Dataset, ReconstructionRecord
-from padmm.metrics import parse_metrics
+
+from oracles import parse_metrics
 
 BASE_CONFIG = {
     "phantom": {"size": 32},
@@ -203,6 +204,29 @@ class TestValidationFailures:
             assert main([command, "--config", str(config)]) == EXIT_VALIDATION
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("u, coil, loads", [
+        pytest.param(np.ones((48, 48)), np.ones((48, 48)), True,
+                     id="other-grid"),
+        pytest.param(np.ones((32, 32)), np.ones((16, 32)), False,
+                     id="coil-shape"),
+        pytest.param(np.full((32, 32), np.nan), np.ones((32, 32)), False,
+                     id="nan-u"),
+    ])
+    def test_malformed_record(self, workspace, capsys, u, coil, loads):
+        config, out = workspace
+        main(["simulate", "--config", str(config)])
+        path = out / "other.pad"
+        ReconstructionRecord(u=u, coil_maps=[coil] * 2, algorithm="admm",
+                             iterations=1, final_residual=1.0,
+                             wall_ms=1.0).save(path)
+        if not loads:
+            with pytest.raises(ContainerFormatError):
+                ReconstructionRecord.load(path)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config),
+                     "--recon", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("section, key", [
         ("solver", "iteration"), (None, "phantm"), ("weights", "tv_shrink"),
     ])
@@ -226,10 +250,15 @@ class TestValidationFailures:
         assert exc.value.code == EXIT_VALIDATION
 
 
-def test_pdhgm_divergence_exits_3_and_eval_still_reports(workspace, capsys):
+@pytest.mark.parametrize("algorithm, recon_overflows", [
+    pytest.param("admm", False, id="admm"),
+    pytest.param("pdhgm", True, id="pdhgm"),
+])
+def test_divergence_exits_3_and_eval_still_reports(workspace, capsys, recwarn,
+                                                   algorithm, recon_overflows):
     config, out = workspace
     raw = yaml.safe_load(config.read_text())
-    raw["solver"]["algorithm"] = "pdhgm"
+    raw["solver"]["algorithm"] = algorithm
     config.write_text(yaml.safe_dump(raw))
     main(["simulate", "--config", str(config)])
     path = out / "dataset.pad"
@@ -237,12 +266,14 @@ def test_pdhgm_divergence_exits_3_and_eval_still_reports(workspace, capsys):
     dataset.data = [1e300 * f for f in dataset.data]
     dataset.save(path)
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["reconstruct", "--config", str(config)]) == EXIT_SOLVER
-        assert "non-finite iterate" in capsys.readouterr().err
-        assert main(["eval", "--config", str(config)]) == EXIT_OK
+    assert main(["reconstruct", "--config", str(config)]) == EXIT_SOLVER
+    assert "non-finite iterate" in capsys.readouterr().err
+    assert main(["eval", "--config", str(config)]) == EXIT_OK
     values = parse_metrics((out / "metrics.txt").read_text())
-    assert float(values["psnr_recon_db"]) == -math.inf
+    assert float(values["psnr_zerofill_db"]) == -math.inf
+    assert (float(values["psnr_recon_db"]) == -math.inf) == recon_overflows
+    # the abort message is the one report of the divergence
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_solver_abort_exit_code(workspace, monkeypatch, capsys):

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padmm.fields import (dft2, grad, grad_adjoint, grad_matrix, idft2,
-                          inner, norm2)
+from padmm.fields import dft2, grad, grad_adjoint, idft2
 
-
-def random_field(rng, h, w):
-    return rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
-
-
-def random_gradient(rng, h, w):
-    return rng.standard_normal((2, h, w)) + 1j * rng.standard_normal((2, h, w))
+from oracles import grad_map, materialize, random_field, random_gradient
 
 
 class TestGrad:
@@ -54,12 +47,12 @@ class TestGradAdjoint:
         rng = np.random.default_rng(42)
         u = random_field(rng, *shape)
         g = random_gradient(rng, *shape)
-        lhs = inner(grad(u), g)
-        rhs = inner(u, grad_adjoint(g))
+        lhs = np.vdot(g, grad(u))
+        rhs = np.vdot(grad_adjoint(g), u)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_matches_dense_matrix_on_impulse(self):
-        mat = grad_matrix(3, 3)
+        mat = materialize(grad_map(3, 3))
         imp = np.zeros((3, 3), dtype=np.complex128)
         imp[1, 1] = 1.0
         g = grad(imp)
@@ -81,7 +74,8 @@ class TestDft:
     def test_parseval(self):
         rng = np.random.default_rng(3)
         x = random_field(rng, 16, 16)
-        assert abs(norm2(dft2(x)) - norm2(x)) <= 1e-10 * norm2(x)
+        norm = np.linalg.norm
+        assert abs(norm(dft2(x)) - norm(x)) <= 1e-10 * norm(x)
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
@@ -91,29 +85,7 @@ class TestDft:
     def test_dft_adjoint_is_inverse(self):
         rng = np.random.default_rng(5)
         x, y = random_field(rng, 8, 8), random_field(rng, 8, 8)
-        assert abs(inner(dft2(x), y) - inner(x, idft2(y))) < 1e-10
-
-
-class TestInner:
-    def test_self_inner_real_nonnegative(self):
-        rng = np.random.default_rng(6)
-        x = random_field(rng, 5, 5)
-        v = inner(x, x)
-        assert abs(v.imag) < 1e-12
-        assert v.real >= 0
-
-    def test_orthogonal_basis_vectors(self):
-        e1 = np.zeros((2, 2), dtype=np.complex128)
-        e2 = np.zeros((2, 2), dtype=np.complex128)
-        e1[0, 0] = 1
-        e2[1, 1] = 1
-        assert inner(e1, e2) == 0
-
-    def test_conjugate_linear_in_second_argument(self):
-        rng = np.random.default_rng(7)
-        x, y = random_field(rng, 3, 3), random_field(rng, 3, 3)
-        a = 0.3 - 1.4j
-        assert np.isclose(inner(x, a * y), np.conj(a) * inner(x, y))
+        assert abs(np.vdot(y, dft2(x)) - np.vdot(idft2(y), x)) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -122,6 +94,6 @@ def test_grad_adjoint_property(h, w, seed):
     rng = np.random.default_rng(seed)
     u = random_field(rng, h, w)
     g = random_gradient(rng, h, w)
-    lhs = inner(grad(u), g)
-    rhs = inner(u, grad_adjoint(g))
+    lhs = np.vdot(g, grad(u))
+    rhs = np.vdot(grad_adjoint(g), u)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padmm.blocks import BlockVector, random_like
-from padmm.constraint import adjoint_check, fd_jacobian_check
 from padmm.fields import grad
 from padmm.mri import (CoilGradOperator, MriProblem, assemble_prox_j,
                        coil_jacobian, coil_op, initial_unknowns,
                        separable_problem)
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx)
+
+from oracles import adjoint_check, fd_jacobian_check
 
 
 def small_problem(n_coils=2, size=6, seed=0):
@@ -87,6 +90,18 @@ class TestCoilGradOperator:
         err = fd_jacobian_check(op.evaluate, jac, u, d, eps=1e-6)
         assert err <= 1e-6
         assert adjoint_check(jac, rng) < 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(2, 12), st.integers(2, 12),
+           st.integers(0, 10_000))
+    def test_adjoint_and_jacobian_on_random_layouts(self, n, h, w, seed):
+        rng = np.random.default_rng(seed)
+        op = CoilGradOperator(n, (h, w))
+        u = random_like(BlockVector.zeros(op.u_shapes), rng)
+        jac = op.jac(u)
+        d = random_like(BlockVector.zeros(op.u_shapes), rng)
+        assert adjoint_check(jac, rng) <= 1e-10
+        assert fd_jacobian_check(op.evaluate, jac, u, d, eps=1e-6) <= 1e-6
 
 
 class TestProblemValidation:

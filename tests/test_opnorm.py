@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from padmm.blocks import BlockVector
-from padmm.fields import grad, grad_adjoint, grad_matrix
 from padmm.opnorm import estimate_opnorm, fresh_start
+
+from oracles import dense_map, grad_map, materialize
 
 
 def matrix_ops(m):
-    dom = ((m.shape[1],),)
-    cod = ((m.shape[0],),)
-    apply = lambda x: BlockVector.from_ravel(m @ x.ravel(), cod)
-    adjoint = lambda y: BlockVector.from_ravel(m.conj().T @ y.ravel(), dom)
-    return apply, adjoint, dom
+    lm = dense_map(m)
+    return lm.apply, lm.adjoint, lm.domain_shapes
 
 
 def test_identity_norm_is_one():
@@ -30,15 +28,11 @@ def test_diagonal_dominant_eigenvalue():
 
 
 def test_gradient_norm_matches_dense_svd():
-    mat = grad_matrix(16, 16)
-    exact = np.linalg.svd(mat, compute_uv=False)[0]
-    dom = ((16, 16),)
-    start = fresh_start(BlockVector.zeros(dom), 0)
-    est = estimate_opnorm(
-        lambda x: BlockVector([grad(x[0])]),
-        lambda g: BlockVector([grad_adjoint(g[0])]),
-        start, tol=1e-12, max_iter=2000,
-    )
+    lm = grad_map(16, 16)
+    exact = np.linalg.svd(materialize(lm), compute_uv=False)[0]
+    start = fresh_start(BlockVector.zeros(lm.domain_shapes), 0)
+    est = estimate_opnorm(lm.apply, lm.adjoint, start,
+                          tol=1e-12, max_iter=2000)
     assert abs(est.value - exact) < 1e-4
 
 

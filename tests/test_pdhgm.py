@@ -6,11 +6,13 @@ import pytest
 from padmm.blocks import BlockVector, random_like
 from padmm.constraint import LinearMap
 from padmm.mri import separable_problem
-from padmm.pdhgm import (CallableOperator, PdhgmSolver, SeparableConstraint,
-                         SeparableProblem, equivalence_check)
+from padmm.pdhgm import (PdhgmSolver, SeparableConstraint, SeparableProblem,
+                         equivalence_check)
 from padmm.admm import AdmmSolver, SolverConfig, SolverState
 from padmm.pipeline import config_from_dict, mri_problem, simulate
-from padmm.prox import IdentityProx, QuadraticAnchorProx, conjugate_apply
+from padmm.prox import IdentityProx, conjugate_apply
+
+from oracles import CallableOperator, QuadraticAnchorProx, dense_map
 
 
 def identity_operator(shapes):
@@ -19,14 +21,9 @@ def identity_operator(shapes):
 
 
 def matrix_operator(m):
-    dom = ((m.shape[1],),)
-    cod = ((m.shape[0],),)
-    lm = LinearMap(
-        apply=lambda x: BlockVector.from_ravel(m @ x.ravel(), cod),
-        adjoint=lambda y: BlockVector.from_ravel(m.conj().T @ y.ravel(), dom),
-        domain_shapes=dom, codomain_shapes=cod,
-    )
-    return CallableOperator(evaluate=lm.apply, jac=lambda u: lm), dom, cod
+    lm = dense_map(m)
+    return (CallableOperator(evaluate=lm.apply, jac=lambda u: lm),
+            lm.domain_shapes, lm.codomain_shapes)
 
 
 def denoising_problem(shapes, f, weight=1.0):
@@ -214,7 +211,7 @@ class TestSolverParity:
 
     def test_residuals_match_admm_index_for_index(self):
         # the equivalence_check setting on the criterion-5 MRI instance:
-        # ADMM with tau2 = 1/delta, PDHGM started from the ADMM's u^1
+        # ADMM (B = -I gives tau2 = 1/delta), PDHGM started from its u^1
         exp = config_from_dict({
             "phantom": {"size": 16},
             "coils": {"count": 2, "seed": 1},
@@ -232,8 +229,7 @@ class TestSolverParity:
         u_hist = []
         _, admm = AdmmSolver(
             ap.constraint, ap.prox_h, ap.prox_j,
-            replace(cfg, tau2_override=1.0 / cfg.delta,
-                    max_iterations=iterations + 1),
+            replace(cfg, max_iterations=iterations + 1),
         ).run(ap.u0, ap.v0, ap.mu0, callbacks=[lambda st: u_hist.append(st.u)])
         _, _, pd = PdhgmSolver(replace(problem, u0=u_hist[0]), cfg).run()
 
@@ -241,6 +237,7 @@ class TestSolverParity:
         for r_pd, r_admm in zip(pd.residuals, admm.residuals):
             assert abs(r_pd - r_admm) <= 1e-12 * r_admm
         assert pd.tau2s == [1.0 / cfg.delta] * iterations
+        assert admm.tau2s == [1.0 / cfg.delta] * (iterations + 1)
 
     def test_divergence_reported_alike(self):
         problem = nan_problem()

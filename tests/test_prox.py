@@ -4,16 +4,9 @@ import pytest
 from padmm.blocks import BlockVector, random_like
 from padmm.fields import dft2, idft2
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
-                        IdentityProx, QuadraticAnchorProx, SeparableSumProx,
-                        conjugate_apply)
+                        IdentityProx, SeparableSumProx, conjugate_apply)
 
-
-def random_field(rng, h=4, w=4):
-    return rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
-
-
-def random_gradient(rng, h=4, w=4):
-    return rng.standard_normal((2, h, w)) + 1j * rng.standard_normal((2, h, w))
+from oracles import QuadraticAnchorProx, random_field, random_gradient
 
 
 def fidelity_instance(rng, lam=0.7, h=4, w=4):
