@@ -3,12 +3,12 @@ constraints, with a dual-first primal-dual specialization and a joint
 parallel-MRI reconstruction experiment pipeline."""
 
 from .admm import (AdmmSolver, ConvergenceReport, Problem, SolverConfig,
-                   SolverDivergence, SolverState, run)
+                   SolverState, run)
 from .blocks import BlockVector, random_like
 from .constraint import LinearMap, NonlinearConstraint
 from .fields import dft2, grad, grad_adjoint, idft2
 from .mri import (CoilGradOperator, MriProblem, assemble_prox_j,
-                  coil_jacobian, coil_op, initial_unknowns, separable_problem)
+                  initial_unknowns, separable_problem)
 from .opnorm import estimate_opnorm
 from .pdhgm import (PdhgmSolver, SeparableConstraint, SeparableOperator,
                     SeparableProblem, equivalence_check)

@@ -31,14 +31,6 @@ from .opnorm import estimate_opnorm, fresh_start
 from .prox import ProxOp
 
 
-class SolverDivergence(RuntimeError):
-    """Raised when an iterate stops being finite; carries the last good state."""
-
-    def __init__(self, message, last_state):
-        super().__init__(message)
-        self.last_state = last_state
-
-
 @dataclass
 class SolverConfig:
     delta: float = 1.0
@@ -85,11 +77,12 @@ class SolverState:
 class ConvergenceReport:
     iterations: int
     residuals: list
-    tau1s: list
-    tau2s: list
     wall_ms: float
-    aborted: bool = False
     abort_message: str = ""
+
+    @property
+    def aborted(self) -> bool:
+        return bool(self.abort_message)
 
     @property
     def final_residual(self) -> float:
@@ -122,8 +115,9 @@ class Problem:
 class Solver:
     """Driver shared by both step rules: step sizes, run loop and report.
 
-    Subclasses implement ``step``, a map ``SolverState -> SolverState``
-    that raises :class:`SolverDivergence` on a non-finite iterate.
+    Subclasses implement ``step``, a map ``SolverState -> SolverState``.
+    Divergence is decided here alone: the run ends at the first step
+    whose u, v, mu or residual is not finite, on the last finite state.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -146,29 +140,27 @@ class Solver:
 
     def _drive(self, state: SolverState, callbacks):
         # ``state`` is the only reference this frame keeps to the start
-        # state, so its blocks are freed once the first step returns
-        residuals, tau1s, tau2s = [], [], []
-        aborted, abort_message = False, ""
+        # state, so its blocks are freed once the first step is accepted
+        residuals, abort_message = [], ""
         t0 = time.perf_counter()
         # a diverging iterate overflows before it turns non-finite; the
-        # SolverDivergence abort reports that once, so numpy stays quiet
+        # abort message reports that once, so numpy stays quiet
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(self.cfg.max_iterations):
-                try:
-                    state = self.step(state)
-                except SolverDivergence as exc:
-                    state = exc.last_state
-                    aborted, abort_message = True, str(exc)
+                new = self.step(state)
+                if not (new.u.isfinite()
+                        and (new.v is None or new.v.isfinite())
+                        and new.mu.isfinite() and math.isfinite(new.residual)):
+                    abort_message = f"non-finite iterate at iteration {new.k}"
                     break
+                state = new
                 residuals.append(state.residual)
-                tau1s.append(state.tau1)
-                tau2s.append(state.tau2)
                 for cb in callbacks or ():
                     cb(state)
         report = ConvergenceReport(
-            iterations=state.k, residuals=residuals, tau1s=tau1s, tau2s=tau2s,
+            iterations=state.k, residuals=residuals,
             wall_ms=(time.perf_counter() - t0) * 1e3,
-            aborted=aborted, abort_message=abort_message,
+            abort_message=abort_message,
         )
         return state, report
 
@@ -195,7 +187,7 @@ class AdmmSolver(Solver):
         b = F.jac_v(u_new, state.v)
         if cfg.tau2_override is not None:
             tau2 = cfg.tau2_override
-        elif getattr(F, "jac_v_is_neg_identity", False):
+        elif F.jac_v_is_neg_identity:
             tau2 = 1.0 / cfg.delta
         else:
             tau2 = self.step_size(b, "b")
@@ -208,12 +200,6 @@ class AdmmSolver(Solver):
         full_res = F.evaluate(u_new, v_new) - c
         mu_new = state.mu + cfg.delta * full_res
         mu_bar_new = 2.0 * mu_new - state.mu
-
-        if not (u_new.isfinite() and v_new.isfinite() and mu_new.isfinite()):
-            raise SolverDivergence(
-                f"non-finite iterate at iteration {state.k + 1}", state
-            )
-
         return SolverState(
             u=u_new, v=v_new, mu=mu_new, mu_bar=mu_bar_new,
             k=state.k + 1, tau1=tau1, tau2=tau2, residual=full_res.norm(),

@@ -28,8 +28,12 @@ class NonlinearConstraint:
     """Constraint F(u, v) = c with blockwise Jacobian apply/adjoint.
 
     Subclasses implement ``evaluate``, ``jac_u`` and ``jac_v``; ``target``
-    is the right-hand side c.
+    is the right-hand side c.  A subclass whose v-Jacobian is -I at every
+    base point sets ``jac_v_is_neg_identity``, so the ADMM takes the exact
+    v-minimisation.
     """
+
+    jac_v_is_neg_identity = False
 
     def __init__(self, target: BlockVector):
         self.target = target

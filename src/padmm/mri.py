@@ -27,42 +27,6 @@ from .prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                    IdentityProx, SeparableSumProx)
 
 
-def coil_op(u0: np.ndarray, coils) -> list:
-    """Pointwise products (u0 * c_j) per coil."""
-    for c in coils:
-        if c.shape != u0.shape:
-            raise ValueError("coil map shape mismatch")
-    return [u0 * c for c in coils]
-
-
-def coil_jacobian(u0: np.ndarray, coils) -> LinearMap:
-    """Derivative of the bilinear coil operator at (u0, c_1..c_n).
-
-    apply: (h_0, ..., h_n) -> (h_0 c_j + u0 h_j)_j
-    adjoint: (w_1, ..., w_n) -> (sum_j conj(c_j) w_j ; conj(u0) w_j per j)
-
-    Both maps act pixel by pixel.  In particular the adjoint's coil rows
-    conj(u0) w_j vanish wherever u0 does, so the data terms never move a
-    coil pixel where the spin density is zero; only the coil smoothness
-    term reaches those pixels (acceptance criterion 8).
-    """
-    coils = [np.asarray(c, dtype=np.complex128) for c in coils]
-    n = len(coils)
-    shape = u0.shape
-    u0 = np.asarray(u0, dtype=np.complex128)
-
-    def apply(h: BlockVector) -> BlockVector:
-        return BlockVector([h[0] * c + u0 * h[1 + j] for j, c in enumerate(coils)])
-
-    def adjoint(w: BlockVector) -> BlockVector:
-        h0 = sum(np.conj(c) * w[j] for j, c in enumerate(coils))
-        return BlockVector([h0] + [np.conj(u0) * w[j] for j in range(n)])
-
-    return LinearMap(apply=apply, adjoint=adjoint,
-                     domain_shapes=tuple([shape] * (n + 1)),
-                     codomain_shapes=tuple([shape] * n))
-
-
 class CoilGradOperator(SeparableOperator):
     """G(u) = [coil images; gradient of each unknown], the u-part of F."""
 
@@ -82,22 +46,34 @@ class CoilGradOperator(SeparableOperator):
     def evaluate(self, u: BlockVector) -> BlockVector:
         if u.shapes != self.u_shapes:
             raise ValueError("unknown layout mismatch")
-        u0, coils = u[0], list(u.blocks[1:])
-        return BlockVector(coil_op(u0, coils) + [grad(b) for b in u.blocks])
+        u0, coils = u[0], u.blocks[1:]
+        return BlockVector([u0 * c for c in coils] + [grad(b) for b in u.blocks])
 
     def jac(self, u: BlockVector) -> LinearMap:
-        cj = coil_jacobian(u[0], list(u.blocks[1:]))
-        n = self.n
+        """Derivative of G at u = (u0, c_1..c_n).
+
+        apply: h -> [(h_0 c_j + u0 h_j)_j ; grad h_i per i]
+        adjoint: w -> [sum_j conj(c_j) w_j + grad* w_n ;
+                       conj(u0) w_j + grad* w_{n+1+j} per coil j]
+
+        The coil rows act pixel by pixel.  In particular the adjoint's
+        coil rows conj(u0) w_j vanish wherever u0 does, so the data terms
+        never move a coil pixel where the spin density is zero; only the
+        coil smoothness term reaches those pixels (acceptance criterion 8).
+        """
+        u0, coils, n = u[0], u.blocks[1:], self.n
 
         def apply(h: BlockVector) -> BlockVector:
-            rows = cj.apply(h)
-            return BlockVector(list(rows.blocks) + [grad(b) for b in h.blocks])
+            return BlockVector(
+                [h[0] * c + u0 * h[1 + j] for j, c in enumerate(coils)]
+                + [grad(b) for b in h.blocks])
 
         def adjoint(w: BlockVector) -> BlockVector:
-            head = cj.adjoint(BlockVector(w.blocks[:n]))
-            return BlockVector([
-                head[i] + grad_adjoint(w[n + i]) for i in range(n + 1)
-            ])
+            h0 = sum(np.conj(c) * w[j] for j, c in enumerate(coils))
+            return BlockVector(
+                [h0 + grad_adjoint(w[n])]
+                + [np.conj(u0) * w[j] + grad_adjoint(w[n + 1 + j])
+                   for j in range(n)])
 
         return LinearMap(apply=apply, adjoint=adjoint,
                          domain_shapes=self.u_shapes,

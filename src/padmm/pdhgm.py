@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .admm import (Problem, Solver, SolverConfig, SolverDivergence,
-                   SolverState, run as run_admm)
+from .admm import Problem, Solver, SolverConfig, SolverState, run as run_admm
 from .blocks import BlockVector
 from .constraint import LinearMap, NonlinearConstraint
 # unused here, but benchmarks/spans.py patches and checks this attribute
@@ -106,11 +105,6 @@ class PdhgmSolver(Solver):
         jac = p.g.jac(state.u)
         tau1 = self.step_size(jac, "a")
         u_new = p.prox_h.apply(state.u - tau1 * jac.adjoint(mu_bar), tau1)
-
-        if not (u_new.isfinite() and mu_new.isfinite()):
-            raise SolverDivergence(
-                f"non-finite iterate at iteration {state.k + 1}", state
-            )
         return SolverState(
             u=u_new, v=None, mu=mu_new, mu_bar=mu_bar, k=state.k + 1,
             tau1=tau1, tau2=1.0 / cfg.delta,

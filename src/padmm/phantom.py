@@ -94,8 +94,10 @@ class SamplingSpec:
     def validate(self):
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("sampling fraction must lie in (0, 1]")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.turns) and self.turns > 0):
+            raise ValueError("spiral turns must be positive and finite")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be nonnegative and finite")
         return self
 
 

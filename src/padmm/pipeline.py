@@ -41,6 +41,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
+        if self.phantom.size < 1:
+            raise ConfigError("phantom size must be at least 1")
         if self.coils < 1:
             raise ConfigError("coil count must be at least 1")
         try:

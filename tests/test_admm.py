@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from padmm.admm import (AdmmSolver, Problem, SolverConfig, SolverDivergence,
-                        SolverState, run)
+from padmm.admm import AdmmSolver, Problem, SolverConfig, SolverState, run
 from padmm.blocks import BlockVector, random_like
 from padmm.constraint import LinearMap
 from padmm.prox import IdentityProx
@@ -82,18 +83,21 @@ class TestStepSizes:
         delta, theta = 1.7, 0.9
         cfg = SolverConfig(delta=delta, theta=theta, max_iterations=5,
                            power_iter_tol=1e-13, power_iter_max=5000)
-        _, report = run(problem, cfg)
-        for tau1 in report.tau1s:
+        tau1s = []
+        run(problem, cfg, callbacks=[lambda st: tau1s.append(st.tau1)])
+        assert len(tau1s) == 5
+        for tau1 in tau1s:
             assert abs(tau1 * delta * norm_k ** 2 - theta) < 1e-6
         # tau * delta * ||op||^2 < 1 is the positive-definiteness margin
-        for tau1 in report.tau1s:
+        for tau1 in tau1s:
             assert tau1 * delta * norm_k ** 2 < 1.0
 
     def test_tau2_override_is_used_verbatim(self):
         problem, _, _ = scalar_consensus()
         cfg = SolverConfig(max_iterations=3, tau2_override=0.123)
-        _, report = run(problem, cfg)
-        assert report.tau2s == [0.123] * 3
+        tau2s = []
+        run(problem, cfg, callbacks=[lambda st: tau2s.append(st.tau2)])
+        assert tau2s == [0.123] * 3
 
     def test_opnorm_budget_warning_reaches_the_caller(self):
         # the run loop silences numpy's overflow warnings, not this one
@@ -234,15 +238,18 @@ class TestDivergenceHandling:
                        BlockVector.zeros(shapes), BlockVector.zeros(shapes),
                        BlockVector.zeros(shapes))
 
-    def test_step_raises_with_last_state(self):
-        problem = self._nan_problem()
-        solver = AdmmSolver(problem.constraint, problem.prox_h,
-                            problem.prox_j, SolverConfig(max_iterations=1))
-        state0 = SolverState(u=problem.u0, v=problem.v0, mu=problem.mu0,
-                             mu_bar=problem.mu0)
-        with pytest.raises(SolverDivergence) as err:
-            solver.step(state0)
-        assert err.value.last_state is state0
+    def test_run_returns_start_state_unchanged(self):
+        start = [BlockVector([np.array([x, x + 1], dtype=complex)])
+                 for x in (1.0, 3.0, 5.0)]
+        problem = replace(self._nan_problem(), u0=start[0], v0=start[1],
+                          mu0=start[2])
+        state, report = run(problem, SolverConfig(max_iterations=10))
+        assert report.aborted
+        assert report.iterations == 0 and report.residuals == []
+        assert state.k == 0
+        for got, want in ((state.u, start[0]), (state.v, start[1]),
+                          (state.mu, start[2]), (state.mu_bar, start[2])):
+            assert np.array_equal(got[0], want[0])
 
     def test_run_reports_abort(self):
         problem = self._nan_problem()

@@ -1,5 +1,6 @@
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import yaml
 from padmm.admm import ConvergenceReport
 from padmm.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from padmm.dataset import ContainerFormatError, Dataset, ReconstructionRecord
+from padmm.pipeline import load_config
 
 from oracles import parse_metrics
 
@@ -93,6 +95,17 @@ def test_zero_iterations_keeps_flat_start(workspace):
     assert rec.iterations == 0
 
 
+def test_readme_walkthrough_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "experiment.yaml"
+    path.write_text(block)
+    cfg = load_config(path)
+    assert cfg.phantom.size == 96
+    assert cfg.coils == 4
+    assert cfg.solver.max_iterations == 1500
+
+
 def test_seed_override_changes_noise(workspace, tmp_path):
     config, out = workspace
     main(["simulate", "--config", str(config)])
@@ -165,6 +178,25 @@ class TestValidationFailures:
         config.write_text(yaml.safe_dump(raw))
         assert main(["reconstruct", "--config", str(config)]) == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sampling", "sigma", float("nan")),
+        ("sampling", "sigma", float("inf")),
+        ("sampling", "turns", float("nan")),
+        ("sampling", "turns", float("inf")),
+        ("sampling", "turns", 0.0),
+        ("phantom", "size", 0),
+        ("phantom", "size", -4),
+    ])
+    def test_out_of_range_simulation_value(self, workspace, capsys,
+                                           section, key, value):
+        config, out = workspace
+        raw = yaml.safe_load(config.read_text())
+        raw[section][key] = value
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not (out / "dataset.pad").exists()
 
     def test_unreachable_sampling_fraction(self, workspace, capsys):
         config, _ = workspace
@@ -250,12 +282,9 @@ class TestValidationFailures:
         assert exc.value.code == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("algorithm, recon_overflows", [
-    pytest.param("admm", False, id="admm"),
-    pytest.param("pdhgm", True, id="pdhgm"),
-])
+@pytest.mark.parametrize("algorithm", ["admm", "pdhgm"])
 def test_divergence_exits_3_and_eval_still_reports(workspace, capsys, recwarn,
-                                                   algorithm, recon_overflows):
+                                                   algorithm):
     config, out = workspace
     raw = yaml.safe_load(config.read_text())
     raw["solver"]["algorithm"] = algorithm
@@ -267,11 +296,18 @@ def test_divergence_exits_3_and_eval_still_reports(workspace, capsys, recwarn,
     dataset.save(path)
     capsys.readouterr()
     assert main(["reconstruct", "--config", str(config)]) == EXIT_SOLVER
-    assert "non-finite iterate" in capsys.readouterr().err
+    assert "non-finite iterate at iteration 1" in capsys.readouterr().err
+    # the first step's residual overflows, so no step is accepted and
+    # the record holds the flat start
+    convergence = (out / "convergence.txt").read_text()
+    assert "iterations: 0\n" in convergence
+    assert "final_residual: nan\n" in convergence
+    assert "inf" not in convergence
     assert main(["eval", "--config", str(config)]) == EXIT_OK
     values = parse_metrics((out / "metrics.txt").read_text())
+    assert int(values["iterations"]) == 0
     assert float(values["psnr_zerofill_db"]) == -math.inf
-    assert (float(values["psnr_recon_db"]) == -math.inf) == recon_overflows
+    assert math.isfinite(float(values["psnr_recon_db"]))
     # the abort message is the one report of the divergence
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -282,8 +318,7 @@ def test_solver_abort_exit_code(workspace, monkeypatch, capsys):
 
     def fake_reconstruct(dataset, cfg):
         report = ConvergenceReport(
-            iterations=3, residuals=[1.0], tau1s=[], tau2s=[],
-            wall_ms=1.0, aborted=True,
+            iterations=3, residuals=[1.0], wall_ms=1.0,
             abort_message="non-finite iterate at iteration 4",
         )
         record = ReconstructionRecord(

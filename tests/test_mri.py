@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from padmm.blocks import BlockVector, random_like
 from padmm.fields import grad
 from padmm.mri import (CoilGradOperator, MriProblem, assemble_prox_j,
-                       coil_jacobian, coil_op, initial_unknowns,
-                       separable_problem)
+                       initial_unknowns, separable_problem)
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx)
 
@@ -23,41 +22,6 @@ def small_problem(n_coils=2, size=6, seed=0):
             for _ in range(n_coils)]
     return MriProblem(mask=mask, data=data, lam=0.5, alpha0=0.1,
                       alpha=0.9)
-
-
-class TestCoilOperator:
-    def test_hand_computed_products(self):
-        u0 = np.array([[1.0, 1j], [2.0, 0.0]])
-        c = np.array([[1.0, 1.0], [0.0, 3.0]])
-        out = coil_op(u0, [c])
-        assert np.array_equal(out[0], np.array([[1.0, 1j], [0.0, 0.0]]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            coil_op(np.zeros((2, 2)), [np.zeros((3, 3))])
-
-    def test_jacobian_finite_differences(self):
-        rng = np.random.default_rng(1)
-        shape = (5, 5)
-        u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        coils = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                 for _ in range(3)]
-        jac = coil_jacobian(u0, coils)
-        base = BlockVector([u0] + coils)
-        d = random_like(BlockVector.zeros(base.shapes), rng)
-        err = fd_jacobian_check(
-            lambda u: BlockVector(coil_op(u[0], list(u.blocks[1:]))),
-            jac, base, d, eps=1e-6,
-        )
-        assert err <= 1e-6
-
-    def test_jacobian_adjoint(self):
-        rng = np.random.default_rng(2)
-        shape = (4, 4)
-        u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        coils = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                 for _ in range(2)]
-        assert adjoint_check(coil_jacobian(u0, coils), rng) < 1e-10
 
 
 class TestCoilGradOperator:

@@ -37,6 +37,18 @@ def denoising_problem(shapes, f, weight=1.0):
     )
 
 
+def recorded_steps(solver) -> list:
+    """Wrap ``solver.step`` so each state it returns is also listed."""
+    states, step = [], solver.step
+
+    def recorded(state):
+        states.append(step(state))
+        return states[-1]
+
+    solver.step = recorded
+    return states
+
+
 def nan_problem():
     """G(u) is NaN everywhere, so the first step of either solver diverges."""
     shapes = ((2,),)
@@ -226,18 +238,21 @@ class TestSolverParity:
         cfg = replace(exp.solver, warm_start_opnorm=False,
                       max_iterations=iterations)
         ap = problem.as_admm_problem()
-        u_hist = []
+        admm_states = []
         _, admm = AdmmSolver(
             ap.constraint, ap.prox_h, ap.prox_j,
             replace(cfg, max_iterations=iterations + 1),
-        ).run(ap.u0, ap.v0, ap.mu0, callbacks=[lambda st: u_hist.append(st.u)])
-        _, _, pd = PdhgmSolver(replace(problem, u0=u_hist[0]), cfg).run()
+        ).run(ap.u0, ap.v0, ap.mu0, callbacks=[admm_states.append])
+        pd_solver = PdhgmSolver(replace(problem, u0=admm_states[0].u), cfg)
+        pd_states = recorded_steps(pd_solver)
+        _, _, pd = pd_solver.run()
 
         assert len(pd.residuals) == iterations
         for r_pd, r_admm in zip(pd.residuals, admm.residuals):
             assert abs(r_pd - r_admm) <= 1e-12 * r_admm
-        assert pd.tau2s == [1.0 / cfg.delta] * iterations
-        assert admm.tau2s == [1.0 / cfg.delta] * (iterations + 1)
+        assert [st.tau2 for st in pd_states] == [1.0 / cfg.delta] * iterations
+        assert ([st.tau2 for st in admm_states]
+                == [1.0 / cfg.delta] * (iterations + 1))
 
     def test_divergence_reported_alike(self):
         problem = nan_problem()
@@ -253,3 +268,27 @@ class TestSolverParity:
         assert pd.abort_message == admm.abort_message
         assert "non-finite" in pd.abort_message
         assert state.u.isfinite() and u.isfinite() and mu.isfinite()
+
+    def test_overflowing_residual_reported_alike(self):
+        # the first step of either solver has finite iterates of order
+        # 1e200, whose residual norm overflows
+        shapes = ((2,),)
+        problem = replace(denoising_problem(shapes, BlockVector.zeros(shapes)),
+                          u0=BlockVector([np.full(2, 1e200, complex)]))
+        cfg = SolverConfig(max_iterations=5)
+        ap = problem.as_admm_problem()
+        admm_solver = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j, cfg)
+        pd_solver = PdhgmSolver(problem, cfg)
+        admm_steps, pd_steps = (recorded_steps(admm_solver),
+                                recorded_steps(pd_solver))
+        _, admm = admm_solver.run(ap.u0, ap.v0, ap.mu0)
+        _, _, pd = pd_solver.run()
+        for report, steps in ((admm, admm_steps), (pd, pd_steps)):
+            first = steps[0]
+            assert first.u.isfinite() and first.mu.isfinite()
+            assert first.residual == float("inf")
+            assert report.aborted
+            assert report.iterations == 0
+            assert report.residuals == []
+        assert admm_steps[0].v.isfinite()
+        assert pd.abort_message == admm.abort_message
