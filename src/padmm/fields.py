@@ -10,6 +10,18 @@ Conventions fixed here and relied upon everywhere else:
 * ``grad`` uses forward differences with replicate (Neumann) boundary,
   so the last column of ``dx`` and last row of ``dy`` are zero, and
   ``grad_adjoint`` is its exact adjoint.
+
+Both differences run on the row-major flat view (``reshape(-1)``), where
+x-neighbours are 1 apart and y-neighbours W apart, so every difference
+and shifted add is one contiguous slice.  This is exact because the only
+x-pairs that wrap across rows, (i, W-1) and (i+1, 0), all start in the
+last column: ``grad`` overwrites those differences with zero, and
+``grad_adjoint`` overwrites the column-0 sums they reach with the values
+that exclude them, so its output never depends on the last column of
+``dx``.  Each output value is computed by the same floating-point
+operations, in the same order, as on the 2-D slices.  For non-finite
+input the discarded wrapped terms can raise a floating-point warning
+that the 2-D form would not.
 """
 
 from __future__ import annotations
@@ -23,21 +35,32 @@ def grad(img: np.ndarray) -> np.ndarray:
     dx[i, j] = img[i, j+1] - img[i, j] (zero on the last column), and
     analogously dy in the row direction.
     """
-    g = np.zeros((2,) + img.shape, dtype=np.complex128)
-    g[0, :, :-1] = img[:, 1:] - img[:, :-1]
-    g[1, :-1, :] = img[1:, :] - img[:-1, :]
-    return g
+    w = img.shape[1]
+    f = img.reshape(-1)
+    g = np.empty((2, f.size), dtype=np.complex128)
+    np.subtract(f[1:], f[:-1], out=g[0, :-1])
+    g[0, w - 1::w] = 0
+    np.subtract(f[w:], f[:-w], out=g[1, :-w])
+    g[1, -w:] = 0
+    return g.reshape((2,) + img.shape)
 
 
 def grad_adjoint(g: np.ndarray) -> np.ndarray:
-    """Exact adjoint of :func:`grad` (negative divergence)."""
-    gx, gy = g[0], g[1]
-    out = np.zeros(gx.shape, dtype=np.complex128)
-    out[:, :-1] -= gx[:, :-1]
-    out[:, 1:] += gx[:, :-1]
-    out[:-1, :] -= gy[:-1, :]
-    out[1:, :] += gy[:-1, :]
-    return out
+    """Exact adjoint of :func:`grad` (negative divergence).
+
+    Per pixel: ((0 - dx) + dx_left) - dy + dy_up, each term present
+    only where its difference is.
+    """
+    w = g.shape[2]
+    gx, gy = g.reshape(2, -1)
+    out = np.subtract(0.0, gx, out=np.empty(gx.size, dtype=np.complex128))
+    out[w - 1::w] = 0
+    first = out[::w].copy()
+    out[1:] += gx[:-1]
+    out[::w] = first
+    out[:-w] -= gy[:-w]
+    out[w:] += gy[:-w]
+    return out.reshape(g.shape[1:])
 
 
 def dft2(img: np.ndarray) -> np.ndarray:

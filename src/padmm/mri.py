@@ -63,17 +63,31 @@ class CoilGradOperator(SeparableOperator):
         """
         u0, coils, n = u[0], u.blocks[1:], self.n
 
+        # Rows are accumulated in place with one temporary field per call,
+        # in the order of the formulas above: h0 starts as 0 + the first
+        # product, as a ``sum`` would.
         def apply(h: BlockVector) -> BlockVector:
-            return BlockVector(
-                [h[0] * c + u0 * h[1 + j] for j, c in enumerate(coils)]
-                + [grad(b) for b in h.blocks])
+            tmp = np.empty(self.shape, dtype=np.complex128)
+            rows = []
+            for j, c in enumerate(coils):
+                row = h[0] * c
+                row += np.multiply(u0, h[1 + j], out=tmp)
+                rows.append(row)
+            return BlockVector(rows + [grad(b) for b in h.blocks])
 
         def adjoint(w: BlockVector) -> BlockVector:
-            h0 = sum(np.conj(c) * w[j] for j, c in enumerate(coils))
-            return BlockVector(
-                [h0 + grad_adjoint(w[n])]
-                + [np.conj(u0) * w[j] + grad_adjoint(w[n + 1 + j])
-                   for j in range(n)])
+            tmp = np.empty(self.shape, dtype=np.complex128)
+            h0 = np.zeros(self.shape, dtype=np.complex128)
+            for j, c in enumerate(coils):
+                h0 += np.multiply(np.conj(c, out=tmp), w[j], out=tmp)
+            h0 += grad_adjoint(w[n])
+            conj_u0 = np.conj(u0)
+            rows = [h0]
+            for j in range(n):
+                row = conj_u0 * w[j]
+                row += grad_adjoint(w[n + 1 + j])
+                rows.append(row)
+            return BlockVector(rows)
 
         return LinearMap(apply=apply, adjoint=adjoint,
                          domain_shapes=self.u_shapes,

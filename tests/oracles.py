@@ -1,6 +1,7 @@
-"""Oracles and toy problem parts that only the tests use: dense maps,
-finite-difference and adjoint checks, callable constraints and operators,
-a closed-form resolvent and the metrics-file parser."""
+"""Oracles and toy problem parts that only the tests use: slice-based
+reference kernels, dense maps, finite-difference and adjoint checks,
+callable constraints and operators, a closed-form resolvent and the
+metrics-file parser."""
 
 import numpy as np
 
@@ -17,6 +18,40 @@ def random_field(rng, h=4, w=4):
 
 def random_gradient(rng, h=4, w=4):
     return rng.standard_normal((2, h, w)) + 1j * rng.standard_normal((2, h, w))
+
+
+def grad_slices(img):
+    """Reference :func:`padmm.fields.grad` on 2-D slices, the same
+    operations in the same order, so results agree bit for bit."""
+    g = np.zeros((2,) + img.shape, dtype=np.complex128)
+    g[0, :, :-1] = img[:, 1:] - img[:, :-1]
+    g[1, :-1, :] = img[1:, :] - img[:-1, :]
+    return g
+
+
+def grad_adjoint_slices(g):
+    """Reference :func:`padmm.fields.grad_adjoint` on 2-D slices."""
+    gx, gy = g[0], g[1]
+    out = np.zeros(gx.shape, dtype=np.complex128)
+    out[:, :-1] -= gx[:, :-1]
+    out[:, 1:] += gx[:, :-1]
+    out[:-1, :] -= gy[:-1, :]
+    out[1:, :] += gy[:-1, :]
+    return out
+
+
+def coil_jac_rows(u, h, w):
+    """Reference rows of ``CoilGradOperator.jac(u)``: the coil rows of
+    ``apply(h)`` and every row of ``adjoint(w)``, by the formulas
+    h0 c_j + u0 h_j, sum_j conj(c_j) w_j + grad* w_n and
+    conj(u0) w_j + grad* w_{n+1+j}."""
+    u0, coils, n = u[0], u.blocks[1:], len(u) - 1
+    apply_rows = [h[0] * c + u0 * h[1 + j] for j, c in enumerate(coils)]
+    h0 = sum(np.conj(c) * w[j] for j, c in enumerate(coils))
+    adjoint_rows = ([h0 + grad_adjoint_slices(w[n])]
+                    + [np.conj(u0) * w[j] + grad_adjoint_slices(w[n + 1 + j])
+                       for j in range(n)])
+    return apply_rows, adjoint_rows
 
 
 def dense_map(m):

@@ -10,7 +10,7 @@ from padmm.mri import (CoilGradOperator, MriProblem, assemble_prox_j,
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx)
 
-from oracles import adjoint_check, fd_jacobian_check
+from oracles import adjoint_check, coil_jac_rows, fd_jacobian_check
 
 
 def small_problem(n_coils=2, size=6, seed=0):
@@ -66,6 +66,13 @@ class TestCoilGradOperator:
         d = random_like(BlockVector.zeros(op.u_shapes), rng)
         assert adjoint_check(jac, rng) <= 1e-10
         assert fd_jacobian_check(op.evaluate, jac, u, d, eps=1e-6) <= 1e-6
+        w = random_like(BlockVector.zeros(op.v_shapes), rng)
+        apply_rows, adjoint_rows = coil_jac_rows(u, d, w)
+        applied, adjoined = jac.apply(d), jac.adjoint(w)
+        assert len(apply_rows) == n and len(adjoined) == n + 1
+        for got, want in zip(applied.blocks[:n] + adjoined.blocks,
+                             apply_rows + adjoint_rows):
+            assert np.array_equal(got, want)
 
 
 class TestProblemValidation:
