@@ -130,8 +130,8 @@ class Solver:
         start = self._warm.get(key)
         if start is None or not cfg.warm_start_opnorm:
             start = fresh_start(BlockVector.zeros(linmap.domain_shapes), cfg.seed)
-        est = estimate_opnorm(linmap.apply, linmap.adjoint, start,
-                              tol=cfg.power_iter_tol, max_iter=cfg.power_iter_max)
+        est = estimate_opnorm(linmap, start, tol=cfg.power_iter_tol,
+                              max_iter=cfg.power_iter_max)
         self._warm[key] = est.eigvec
         return cfg.theta / (cfg.delta * max(est.value ** 2, 1e-300))
 
@@ -192,12 +192,15 @@ class AdmmSolver(Solver):
         else:
             tau2 = self.step_size(b, "b")
 
-        half_res = F.evaluate(u_new, state.v) - c
+        # F(u^{k+1}, .) for both residuals; a separable F evaluates G once
+        f_new = F.partial(u_new)
         v_new = self.prox_j.apply(
-            state.v - tau2 * b.adjoint(state.mu + cfg.delta * half_res), tau2
+            state.v - tau2 * b.adjoint(
+                state.mu + cfg.delta * (f_new(state.v) - c)),
+            tau2,
         )
 
-        full_res = F.evaluate(u_new, v_new) - c
+        full_res = f_new(v_new) - c
         mu_new = state.mu + cfg.delta * full_res
         mu_bar_new = 2.0 * mu_new - state.mu
         return SolverState(

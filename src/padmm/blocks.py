@@ -61,7 +61,13 @@ class BlockVector:
         )
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in self.blocks)))
+        """sqrt(sum_b r_b . r_b) over each block's float64 view r_b,
+        blocks summed in order; no per-element ``hypot``."""
+        total = 0.0
+        for b in self.blocks:
+            r = b.reshape(-1).view(np.float64)
+            total += np.dot(r, r)
+        return float(np.sqrt(total))
 
     def isfinite(self) -> bool:
         return all(np.all(np.isfinite(b)) for b in self.blocks)

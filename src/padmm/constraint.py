@@ -9,28 +9,35 @@ Wirtinger calculus is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .blocks import BlockVector
 
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Matrix-free linear map between block vectors."""
+    """Matrix-free linear map between block vectors.
+
+    ``normal``, when set, is h -> A* A h computed directly; it must
+    agree with ``adjoint(apply(h))``.  Power iteration uses it in place
+    of the composition.
+    """
 
     apply: Callable[[BlockVector], BlockVector]
     adjoint: Callable[[BlockVector], BlockVector]
     domain_shapes: tuple
     codomain_shapes: tuple
+    normal: Optional[Callable[[BlockVector], BlockVector]] = None
 
 
 class NonlinearConstraint:
     """Constraint F(u, v) = c with blockwise Jacobian apply/adjoint.
 
     Subclasses implement ``evaluate``, ``jac_u`` and ``jac_v``; ``target``
-    is the right-hand side c.  A subclass whose v-Jacobian is -I at every
-    base point sets ``jac_v_is_neg_identity``, so the ADMM takes the exact
-    v-minimisation.
+    is the right-hand side c.  ``partial(u)`` is v -> F(u, v); a subclass
+    overrides it to compute the part that depends on u alone once.  A
+    subclass whose v-Jacobian is -I at every base point sets
+    ``jac_v_is_neg_identity``, so the ADMM takes the exact v-minimisation.
     """
 
     jac_v_is_neg_identity = False
@@ -40,6 +47,9 @@ class NonlinearConstraint:
 
     def evaluate(self, u: BlockVector, v: BlockVector) -> BlockVector:
         raise NotImplementedError
+
+    def partial(self, u: BlockVector) -> Callable[[BlockVector], BlockVector]:
+        return lambda v: self.evaluate(u, v)
 
     def jac_u(self, u: BlockVector, v: BlockVector) -> LinearMap:
         raise NotImplementedError

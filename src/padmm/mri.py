@@ -55,6 +55,7 @@ class CoilGradOperator(SeparableOperator):
         apply: h -> [(h_0 c_j + u0 h_j)_j ; grad h_i per i]
         adjoint: w -> [sum_j conj(c_j) w_j + grad* w_n ;
                        conj(u0) w_j + grad* w_{n+1+j} per coil j]
+        normal: h -> adjoint(apply(h)), one coil at a time
 
         The coil rows act pixel by pixel.  In particular the adjoint's
         coil rows conj(u0) w_j vanish wherever u0 does, so the data terms
@@ -89,9 +90,27 @@ class CoilGradOperator(SeparableOperator):
                 rows.append(row)
             return BlockVector(rows)
 
+        # adjoint(apply(h)) coil by coil: the same operations in the same
+        # order, so bit-identical, without the v-layout intermediate
+        def normal(h: BlockVector) -> BlockVector:
+            tmp = np.empty(self.shape, dtype=np.complex128)
+            r = np.empty(self.shape, dtype=np.complex128)
+            h0 = np.zeros(self.shape, dtype=np.complex128)
+            conj_u0 = np.conj(u0)
+            rows = [h0]
+            for j, c in enumerate(coils):
+                np.multiply(h[0], c, out=r)
+                r += np.multiply(u0, h[1 + j], out=tmp)
+                h0 += np.multiply(np.conj(c, out=tmp), r, out=tmp)
+                row = conj_u0 * r
+                row += grad_adjoint(grad(h[1 + j]))
+                rows.append(row)
+            h0 += grad_adjoint(grad(h[0]))
+            return BlockVector(rows)
+
         return LinearMap(apply=apply, adjoint=adjoint,
                          domain_shapes=self.u_shapes,
-                         codomain_shapes=self.v_shapes)
+                         codomain_shapes=self.v_shapes, normal=normal)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import warnings
 from typing import NamedTuple
 
 from .blocks import BlockVector, random_like
+from .constraint import LinearMap
 
 
 class OpNormEstimate(NamedTuple):
@@ -16,19 +17,22 @@ class OpNormEstimate(NamedTuple):
 
 
 def estimate_opnorm(
-    apply,
-    adjoint,
+    linmap: LinearMap,
     start: BlockVector,
     tol: float = 1e-10,
     max_iter: int = 500,
 ) -> OpNormEstimate:
-    """Spectral norm of a matrix-free map via power iteration.
+    """Spectral norm of a matrix-free map via power iteration on A* A.
 
+    A* A is ``linmap.normal`` when the map supplies it, and
+    ``adjoint(apply(.))`` otherwise.
     ``start`` is the initial vector; pass a seeded random vector for a
     deterministic fresh estimate, or the previous eigenvector to warm
     start.  Returns the norm estimate together with the final vector so
     callers can chain warm starts.
     """
+    normal = linmap.normal or (lambda h: linmap.adjoint(linmap.apply(h)))
+
     x = start
     nx = x.norm()
     if nx == 0:
@@ -40,7 +44,7 @@ def estimate_opnorm(
     it = 0
     change = float("inf")
     for it in range(1, max_iter + 1):
-        y = adjoint(apply(x))
+        y = normal(x)
         lam = y.norm()
         if lam == 0.0:
             return OpNormEstimate(0.0, x, it, True)

@@ -48,7 +48,11 @@ class SeparableConstraint(NonlinearConstraint):
         self.g = g
 
     def evaluate(self, u, v):
-        return self.g.evaluate(u) - v
+        return self.partial(u)(v)
+
+    def partial(self, u):
+        gu = self.g.evaluate(u)
+        return lambda v: gu - v
 
     def jac_u(self, u, v):
         return self.g.jac(u)

@@ -1,5 +1,6 @@
-"""Oracles and toy problem parts that only the tests use: slice-based
-reference kernels, dense maps, finite-difference and adjoint checks,
+"""Oracles and toy problem parts that only the tests use: signed-zero
+inputs and a bit-for-bit comparison, slice-based reference kernels, the
+hypot reference norm, dense maps, finite-difference and adjoint checks,
 callable constraints and operators, a closed-form resolvent and the
 metrics-file parser."""
 
@@ -18,6 +19,29 @@ def random_field(rng, h=4, w=4):
 
 def random_gradient(rng, h=4, w=4):
     return rng.standard_normal((2, h, w)) + 1j * rng.standard_normal((2, h, w))
+
+
+def bit_identical(a, b):
+    """Equal values, dtype and shape, and equal signs of zero."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def signed_zero_field(rng, shape, kind):
+    """A real, complex or non-contiguous field with signed zeros mixed in."""
+    wide = shape[:-1] + (2 * shape[-1],) if kind == "strided" else shape
+    x = np.empty(wide, dtype=np.complex128)
+    # zeroing about half the parts leaves -0.0 where a part was negative
+    x.real = rng.standard_normal(wide) * rng.integers(0, 2, wide)
+    x.imag = rng.standard_normal(wide) * rng.integers(0, 2, wide)
+    if kind == "real":
+        return x.real.copy()
+    if kind == "strided":
+        x = x[..., ::2]
+        assert x.size == 1 or not x.flags.c_contiguous
+    return x
 
 
 def grad_slices(img):
@@ -52,6 +76,12 @@ def coil_jac_rows(u, h, w):
                     + [np.conj(u0) * w[j] + grad_adjoint_slices(w[n + 1 + j])
                        for j in range(n)])
     return apply_rows, adjoint_rows
+
+
+def norm_hypot(x: BlockVector) -> float:
+    """Reference ``BlockVector.norm``: sqrt of the summed |b|**2, each
+    modulus taken with ``hypot``."""
+    return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in x.blocks)))
 
 
 def dense_map(m):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padmm.blocks import BlockVector, random_like
+
+from oracles import norm_hypot, signed_zero_field
 
 
 @pytest.fixture
@@ -28,6 +32,34 @@ def test_layout_preserved(pair):
 def test_norm_matches_ravel(pair):
     x, _ = pair
     assert np.isclose(x.norm(), np.linalg.norm(x.ravel()))
+
+
+_block_shape = st.one_of(
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    st.tuples(st.just(2), st.integers(1, 12), st.integers(1, 12)),
+    st.tuples(st.integers(1, 40)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_block_shape,
+                          st.sampled_from(["real", "complex", "strided"])),
+                min_size=1, max_size=6),
+       st.integers(0, 10_000))
+def test_norm_matches_hypot_reference(layout, seed):
+    rng = np.random.default_rng(seed)
+    x = BlockVector([10.0 ** rng.uniform(-3, 3) * signed_zero_field(rng, s, kind)
+                     for s, kind in layout])
+    ref = norm_hypot(x)
+    assert abs(x.norm() - ref) <= 1e-15 * ref
+
+
+def test_norm_overflow_is_inf():
+    # the solvers report an overflowed residual as divergence and
+    # silence the overflow warning in Solver._drive, as here
+    x = BlockVector([np.ones(3), np.full((2, 2, 2), 1e200 + 1e200j)])
+    with np.errstate(over="ignore"):
+        assert x.norm() == float("inf")
 
 
 def test_inner_conjugate_symmetry(pair):

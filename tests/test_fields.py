@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from padmm.fields import dft2, grad, grad_adjoint, idft2
 
-from oracles import (grad_adjoint_slices, grad_map, grad_slices, materialize,
-                     random_field, random_gradient)
+from oracles import (bit_identical, grad_adjoint_slices, grad_map, grad_slices,
+                     materialize, random_field, random_gradient,
+                     signed_zero_field)
 
 
 class TestGrad:
@@ -100,29 +101,6 @@ def test_grad_adjoint_property(h, w, seed):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
-def _bit_identical(a, b):
-    """Equal values, dtype and shape, and equal signs of zero."""
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
-            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
-
-
-def _field(rng, shape, kind):
-    """A real, complex or non-contiguous field with signed zeros mixed in."""
-    wide = shape[:-1] + (2 * shape[-1],) if kind == "strided" else shape
-    x = np.empty(wide, dtype=np.complex128)
-    # zeroing about half the parts leaves -0.0 where a part was negative
-    x.real = rng.standard_normal(wide) * rng.integers(0, 2, wide)
-    x.imag = rng.standard_normal(wide) * rng.integers(0, 2, wide)
-    if kind == "real":
-        return x.real.copy()
-    if kind == "strided":
-        x = x[..., ::2]
-        assert x.size == 1 or not x.flags.c_contiguous
-    return x
-
-
 _shapes = st.one_of(
     st.just((1, 1)),
     st.tuples(st.just(1), st.integers(1, 12)),
@@ -136,11 +114,11 @@ _shapes = st.one_of(
        st.integers(0, 10_000))
 def test_flat_kernels_match_slice_references_bit_for_bit(shape, kind, seed):
     rng = np.random.default_rng(seed)
-    img = _field(rng, shape, kind)
-    g = _field(rng, (2,) + shape, kind)
+    img = signed_zero_field(rng, shape, kind)
+    g = signed_zero_field(rng, (2,) + shape, kind)
     out = grad(img)
     assert out.dtype == np.complex128
-    assert _bit_identical(out, grad_slices(img))
+    assert bit_identical(out, grad_slices(img))
     div = grad_adjoint(g)
     assert div.dtype == np.complex128
-    assert _bit_identical(div, grad_adjoint_slices(g))
+    assert bit_identical(div, grad_adjoint_slices(g))

@@ -1,16 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padmm.admm
+from padmm.admm import Solver, SolverConfig
 from padmm.blocks import BlockVector, random_like
 from padmm.fields import grad
 from padmm.mri import (CoilGradOperator, MriProblem, assemble_prox_j,
                        initial_unknowns, separable_problem)
+from padmm.opnorm import estimate_opnorm
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx)
 
-from oracles import adjoint_check, coil_jac_rows, fd_jacobian_check
+from oracles import (adjoint_check, bit_identical, coil_jac_rows,
+                     fd_jacobian_check, signed_zero_field)
 
 
 def small_problem(n_coils=2, size=6, seed=0):
@@ -73,6 +79,51 @@ class TestCoilGradOperator:
         for got, want in zip(applied.blocks[:n] + adjoined.blocks,
                              apply_rows + adjoint_rows):
             assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from(["real", "complex", "strided"]),
+           st.integers(0, 10_000))
+    def test_normal_is_adjoint_of_apply_bit_for_bit(self, n, h, w, kind, seed):
+        rng = np.random.default_rng(seed)
+        op = CoilGradOperator(n, (h, w))
+        u, d = (BlockVector([signed_zero_field(rng, (h, w), kind)
+                             for _ in range(n + 1)]) for _ in range(2))
+        jac = op.jac(u)
+        got, want = jac.normal(d), jac.adjoint(jac.apply(d))
+        assert got.shapes == want.shapes == op.u_shapes
+        for a, b in zip(got.blocks, want.blocks):
+            assert bit_identical(a, b)
+
+    def test_step_size_takes_the_fused_normal(self, monkeypatch):
+        # a fallback to adjoint(apply(.)) would reach the refusing maps
+        rng = np.random.default_rng(9)
+        op = CoilGradOperator(3, (7, 9))
+        jac = op.jac(random_like(BlockVector.zeros(op.u_shapes), rng))
+        normal_calls, estimates = [], []
+
+        def refuse(x):
+            raise AssertionError("power iteration composed apply and adjoint")
+
+        def counted_normal(h):
+            normal_calls.append(h)
+            return jac.normal(h)
+
+        def recorded_estimate(*args, **kwargs):
+            estimates.append(estimate_opnorm(*args, **kwargs))
+            return estimates[-1]
+
+        monkeypatch.setattr(padmm.admm, "estimate_opnorm", recorded_estimate)
+        fused = replace(jac, apply=refuse, adjoint=refuse, normal=counted_normal)
+        composed = replace(jac, normal=None)
+        taus = [Solver(SolverConfig()).step_size(m, "a") for m in (fused, composed)]
+        fast, slow = estimates
+        assert len(normal_calls) == fast.iterations > 1
+        assert taus[0] == taus[1]
+        assert ((fast.value, fast.iterations, fast.converged)
+                == (slow.value, slow.iterations, slow.converged))
+        for a, b in zip(fast.eigvec.blocks, slow.eigvec.blocks):
+            assert bit_identical(a, b)
 
 
 class TestProblemValidation:

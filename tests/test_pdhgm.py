@@ -12,7 +12,8 @@ from padmm.admm import AdmmSolver, SolverConfig, SolverState
 from padmm.pipeline import config_from_dict, mri_problem, simulate
 from padmm.prox import IdentityProx, conjugate_apply
 
-from oracles import CallableOperator, QuadraticAnchorProx, dense_map
+from oracles import (CallableOperator, QuadraticAnchorProx, bit_identical,
+                     dense_map)
 
 
 def identity_operator(shapes):
@@ -208,6 +209,34 @@ class TestSeparableConstraintAdapter:
         assert (F.evaluate(u, v) - (u - v)).norm() == 0
         h = random_like(BlockVector.zeros(shapes), rng)
         assert (F.jac_v(u, v).apply(h) + h).norm() == 0
+
+    def test_admm_step_evaluates_g_once(self):
+        # partial(u) computes G(u) once for both residuals of an ADMM step
+        shapes = ((2, 2),)
+        rng = np.random.default_rng(7)
+        evaluations = []
+
+        def evaluate(u):
+            evaluations.append(u)
+            return 2.0 * u
+
+        double = LinearMap(lambda h: 2.0 * h, lambda w: 2.0 * w, shapes, shapes)
+        g = CallableOperator(evaluate=evaluate, jac=lambda u: double)
+        F = SeparableConstraint(g, BlockVector.zeros(shapes))
+        u = random_like(BlockVector.zeros(shapes), rng)
+        v = random_like(BlockVector.zeros(shapes), rng)
+        f = F.partial(u)
+        assert bit_identical(f(v)[0], F.evaluate(u, v)[0])
+        assert bit_identical(f(-v)[0], F.evaluate(u, -v)[0])
+
+        anchor = random_like(BlockVector.zeros(shapes), rng)
+        ap = replace(denoising_problem(shapes, anchor), g=g).as_admm_problem()
+        evaluations.clear()
+        _, report = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
+                               SolverConfig(max_iterations=3)).run(
+            ap.u0, ap.v0, ap.mu0)
+        assert report.iterations == 3
+        assert len(evaluations) == 3
 
     def test_as_admm_problem_layout(self):
         shapes = ((2, 2),)
