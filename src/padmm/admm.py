@@ -183,6 +183,7 @@ class AdmmSolver(Solver):
         a = F.jac_u(state.u, state.v)
         tau1 = self.step_size(a, "a")
         u_new = self.prox_h.apply(state.u - tau1 * a.adjoint(state.mu_bar), tau1)
+        del a  # frees the Jacobian's scratch before the v-step's temporaries
 
         b = F.jac_v(u_new, state.v)
         if cfg.tau2_override is not None:

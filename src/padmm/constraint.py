@@ -18,16 +18,18 @@ from .blocks import BlockVector
 class LinearMap:
     """Matrix-free linear map between block vectors.
 
-    ``normal``, when set, is h -> A* A h computed directly; it must
-    agree with ``adjoint(apply(h))``.  Power iteration uses it in place
-    of the composition.
+    ``normal``, when set, is ``normal(h, out)`` -> A* A h computed
+    directly; it must agree with ``adjoint(apply(h))``.  ``out`` has the
+    domain layout and never overlaps ``h``; the map writes the result
+    into it and returns it, or ignores it and returns a fresh vector.
+    Power iteration uses it in place of the composition.
     """
 
     apply: Callable[[BlockVector], BlockVector]
     adjoint: Callable[[BlockVector], BlockVector]
     domain_shapes: tuple
     codomain_shapes: tuple
-    normal: Optional[Callable[[BlockVector], BlockVector]] = None
+    normal: Optional[Callable[[BlockVector, BlockVector], BlockVector]] = None
 
 
 class NonlinearConstraint:

@@ -22,6 +22,12 @@ that exclude them, so its output never depends on the last column of
 operations, in the same order, as on the 2-D slices.  For non-finite
 input the discarded wrapped terms can raise a floating-point warning
 that the 2-D form would not.
+
+``grad_normal`` fuses ``grad_adjoint(grad(img))`` into caller-owned
+buffers, without the (2, H, W) intermediate.  Its ``dx`` has a +0 last
+column, and ``0 - dx`` is never -0, so adding ``dx_left`` across the
+row wrap leaves column 0 unchanged and the save and restore of
+``grad_adjoint`` is not needed.
 """
 
 from __future__ import annotations
@@ -61,6 +67,29 @@ def grad_adjoint(g: np.ndarray) -> np.ndarray:
     out[:-w] -= gy[:-w]
     out[w:] += gy[:-w]
     return out.reshape(g.shape[1:])
+
+
+def grad_normal(img: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """``grad_adjoint(grad(img))``, bit for bit, written into ``out``.
+
+    ``out`` is a C-contiguous (H, W) complex field and ``scratch`` a flat
+    complex array of H*W entries; neither may overlap ``img``, and both
+    are overwritten.  ``scratch`` holds dx, then dy once dx is consumed.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("grad_normal writes through out's flat view")
+    w = img.shape[1]
+    f = img.reshape(-1)
+    o, d = out.reshape(-1), scratch
+    np.subtract(f[1:], f[:-1], out=d[:-1])
+    d[w - 1::w] = 0
+    np.subtract(0.0, d, out=o)
+    o[1:] += d[:-1]
+    np.subtract(f[w:], f[:-w], out=d[:-w])
+    o[:-w] -= d[:-w]
+    o[w:] += d[:-w]
+    return out
 
 
 def dft2(img: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blocks import BlockVector
 from .constraint import LinearMap
-from .fields import grad, grad_adjoint
+from .fields import grad, grad_adjoint, grad_normal
 from .pdhgm import SeparableOperator, SeparableProblem
 from .prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                    IdentityProx, SeparableSumProx)
@@ -55,7 +55,7 @@ class CoilGradOperator(SeparableOperator):
         apply: h -> [(h_0 c_j + u0 h_j)_j ; grad h_i per i]
         adjoint: w -> [sum_j conj(c_j) w_j + grad* w_n ;
                        conj(u0) w_j + grad* w_{n+1+j} per coil j]
-        normal: h -> adjoint(apply(h)), one coil at a time
+        normal: h, out -> adjoint(apply(h)), one coil at a time, into out
 
         The coil rows act pixel by pixel.  In particular the adjoint's
         coil rows conj(u0) w_j vanish wherever u0 does, so the data terms
@@ -63,12 +63,15 @@ class CoilGradOperator(SeparableOperator):
         coil smoothness term reaches those pixels (acceptance criterion 8).
         """
         u0, coils, n = u[0], u.blocks[1:], self.n
+        conj_u0 = np.conj(u0)
+        # per-Jacobian scratch, shared by the closures below (one call at
+        # a time); conj(c_j) is formed on the fly into ``tmp``
+        r, tmp = (np.empty(self.shape, dtype=np.complex128) for _ in range(2))
+        flat_tmp = tmp.reshape(-1)
 
-        # Rows are accumulated in place with one temporary field per call,
-        # in the order of the formulas above: h0 starts as 0 + the first
-        # product, as a ``sum`` would.
+        # Rows are accumulated in place, in the order of the formulas
+        # above: h0 starts as 0 + the first product, as a ``sum`` would.
         def apply(h: BlockVector) -> BlockVector:
-            tmp = np.empty(self.shape, dtype=np.complex128)
             rows = []
             for j, c in enumerate(coils):
                 row = h[0] * c
@@ -77,12 +80,10 @@ class CoilGradOperator(SeparableOperator):
             return BlockVector(rows + [grad(b) for b in h.blocks])
 
         def adjoint(w: BlockVector) -> BlockVector:
-            tmp = np.empty(self.shape, dtype=np.complex128)
             h0 = np.zeros(self.shape, dtype=np.complex128)
             for j, c in enumerate(coils):
                 h0 += np.multiply(np.conj(c, out=tmp), w[j], out=tmp)
             h0 += grad_adjoint(w[n])
-            conj_u0 = np.conj(u0)
             rows = [h0]
             for j in range(n):
                 row = conj_u0 * w[j]
@@ -91,22 +92,23 @@ class CoilGradOperator(SeparableOperator):
             return BlockVector(rows)
 
         # adjoint(apply(h)) coil by coil: the same operations in the same
-        # order, so bit-identical, without the v-layout intermediate
-        def normal(h: BlockVector) -> BlockVector:
-            tmp = np.empty(self.shape, dtype=np.complex128)
-            r = np.empty(self.shape, dtype=np.complex128)
-            h0 = np.zeros(self.shape, dtype=np.complex128)
-            conj_u0 = np.conj(u0)
-            rows = [h0]
+        # order, so bit-identical, without the v-layout intermediate; the
+        # rows go into ``out``'s blocks, which must not overlap ``h``
+        def normal(h: BlockVector,
+                   out: BlockVector | None = None) -> BlockVector:
+            if out is None:
+                out = BlockVector.zeros(self.u_shapes)
+            h0 = out[0]
+            h0.fill(0)
             for j, c in enumerate(coils):
                 np.multiply(h[0], c, out=r)
-                r += np.multiply(u0, h[1 + j], out=tmp)
+                np.add(r, np.multiply(u0, h[1 + j], out=tmp), out=r)
                 h0 += np.multiply(np.conj(c, out=tmp), r, out=tmp)
-                row = conj_u0 * r
-                row += grad_adjoint(grad(h[1 + j]))
-                rows.append(row)
-            h0 += grad_adjoint(grad(h[0]))
-            return BlockVector(rows)
+                row = np.multiply(conj_u0, r, out=out[1 + j])
+                # r and tmp are free again: grad* grad h_j goes into r
+                row += grad_normal(h[1 + j], r, flat_tmp)
+            h0 += grad_normal(h[0], r, flat_tmp)
+            return out
 
         return LinearMap(apply=apply, adjoint=adjoint,
                          domain_shapes=self.u_shapes,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import warnings
 from typing import NamedTuple
 
+import numpy as np
+
 from .blocks import BlockVector, random_like
 from .constraint import LinearMap
 
@@ -25,31 +27,37 @@ def estimate_opnorm(
     """Spectral norm of a matrix-free map via power iteration on A* A.
 
     A* A is ``linmap.normal`` when the map supplies it, and
-    ``adjoint(apply(.))`` otherwise.
+    ``adjoint(apply(.))`` otherwise.  Each step writes A* A x into a
+    spare vector and rescales it in place, then the two swap roles, so
+    a map whose ``normal`` honours ``out`` allocates nothing per step.
     ``start`` is the initial vector; pass a seeded random vector for a
     deterministic fresh estimate, or the previous eigenvector to warm
-    start.  Returns the norm estimate together with the final vector so
-    callers can chain warm starts.
+    start.  ``start`` is never written to, and the returned vector
+    belongs to the caller, so callers can chain warm starts.
     """
-    normal = linmap.normal or (lambda h: linmap.adjoint(linmap.apply(h)))
+    normal = linmap.normal or (lambda h, out: linmap.adjoint(linmap.apply(h)))
 
-    x = start
-    nx = x.norm()
+    nx = start.norm()
     if nx == 0:
         raise ValueError("start vector must be nonzero")
-    x = (1.0 / nx) * x
+    x = (1.0 / nx) * start
+    spare = BlockVector.zeros(x.shapes)
 
     lam_old = float("inf")
     lam = 0.0
     it = 0
     change = float("inf")
     for it in range(1, max_iter + 1):
-        y = normal(x)
+        y = normal(x, out=spare)
         lam = y.norm()
         if lam == 0.0:
             return OpNormEstimate(0.0, x, it, True)
         change = abs(lam - lam_old) / lam
-        x = (1.0 / lam) * y
+        # the same product as (1 / lam) * y, without a new vector
+        scale = 1.0 / lam
+        for b in y.blocks:
+            np.multiply(scale, b, out=b)
+        x, spare = y, x
         if change <= tol:
             return OpNormEstimate(lam ** 0.5, x, it, True)
         lam_old = lam
@@ -66,7 +74,5 @@ def estimate_opnorm(
 
 def fresh_start(like: BlockVector, seed: int):
     """Deterministic random start vector for a given layout and seed."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     return random_like(like, rng)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padmm.fields import dft2, grad, grad_adjoint, idft2
+from padmm.fields import dft2, grad, grad_adjoint, grad_normal, idft2
 
 from oracles import (bit_identical, grad_adjoint_slices, grad_map, grad_slices,
                      materialize, random_field, random_gradient,
@@ -122,3 +122,26 @@ def test_flat_kernels_match_slice_references_bit_for_bit(shape, kind, seed):
     div = grad_adjoint(g)
     assert div.dtype == np.complex128
     assert bit_identical(div, grad_adjoint_slices(g))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_shapes, st.sampled_from(["real", "complex", "strided"]),
+       st.integers(0, 10_000))
+def test_grad_normal_matches_the_composition_bit_for_bit(shape, kind, seed):
+    # garbage in the buffers (NaN, -0.0) must not reach the result
+    rng = np.random.default_rng(seed)
+    img = signed_zero_field(rng, shape, kind)
+    size = shape[0] * shape[1]
+    out = np.full(shape, np.nan + 1j * np.nan)
+    scratch = (np.where(rng.integers(0, 2, size), np.nan, -0.0)
+               + 1j * np.where(rng.integers(0, 2, size), np.nan, -0.0))
+    got = grad_normal(img, out, scratch)
+    assert got is out
+    assert bit_identical(got, grad_adjoint(grad(img)))
+
+
+def test_grad_normal_refuses_an_out_without_a_flat_view():
+    img = np.ones((3, 4), dtype=np.complex128)
+    out = np.empty((3, 8), dtype=np.complex128)[:, :4]
+    with pytest.raises(ValueError):
+        grad_normal(img, out, np.empty(12, dtype=np.complex128))

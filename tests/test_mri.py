@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -105,9 +106,9 @@ class TestCoilGradOperator:
         def refuse(x):
             raise AssertionError("power iteration composed apply and adjoint")
 
-        def counted_normal(h):
+        def counted_normal(h, out):
             normal_calls.append(h)
-            return jac.normal(h)
+            return jac.normal(h, out)
 
         def recorded_estimate(*args, **kwargs):
             estimates.append(estimate_opnorm(*args, **kwargs))
@@ -124,6 +125,59 @@ class TestCoilGradOperator:
                 == (slow.value, slow.iterations, slow.converged))
         for a, b in zip(fast.eigvec.blocks, slow.eigvec.blocks):
             assert bit_identical(a, b)
+
+    def test_power_steps_reuse_two_buffers_and_spare_the_start(self):
+        # a power iteration that allocated per step would hand ``normal``
+        # a new ``h`` or ``out`` each time; every vector seen is kept
+        # alive, so no id can be recycled
+        rng = np.random.default_rng(11)
+        op = CoilGradOperator(2, (6, 5))
+        jac = op.jac(random_like(BlockVector.zeros(op.u_shapes), rng))
+        start = random_like(BlockVector.zeros(op.u_shapes), rng)
+        before = start.copy()
+        seen = []
+
+        def recorded_normal(h, out):
+            blocks = out.blocks
+            seen.extend((h, out))
+            got = jac.normal(h, out)
+            assert got is out
+            assert all(a is b for a, b in zip(got.blocks, blocks))
+            assert not any(np.shares_memory(a, b)
+                           for a in h.blocks for b in blocks)
+            return got
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            est = estimate_opnorm(replace(jac, normal=recorded_normal), start,
+                                  tol=0.0, max_iter=24)
+        assert est.iterations == len(seen) // 2 == 24 and not est.converged
+        assert len({id(v) for v in seen}) <= 2
+        assert len({tuple(map(id, v.blocks)) for v in seen}) <= 2
+        for a, b in zip(start.blocks, before.blocks):
+            assert bit_identical(a, b)
+        assert not any(np.shares_memory(a, b) for a in est.eigvec.blocks
+                       for b in start.blocks)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from(["real", "complex", "strided"]),
+           st.integers(0, 10_000))
+    def test_normal_into_a_stale_out_matches_a_fresh_one(self, n, h, w, kind,
+                                                         seed):
+        # the h0 row accumulates, so it must restart from +0 on each call
+        rng = np.random.default_rng(seed)
+        op = CoilGradOperator(n, (h, w))
+        u, d1, d2 = (BlockVector([signed_zero_field(rng, (h, w), kind)
+                                  for _ in range(n + 1)]) for _ in range(3))
+        jac = op.jac(u)
+        out = BlockVector([np.full((h, w), np.nan + 1j * -0.0)
+                           for _ in range(n + 1)])
+        for d in (d1, d2):
+            got = jac.normal(d, out=out)
+            assert got is out
+            for a, b in zip(got.blocks, jac.normal(d).blocks):
+                assert bit_identical(a, b)
 
 
 class TestProblemValidation:
