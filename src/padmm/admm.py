@@ -14,6 +14,12 @@ One iteration, in order:
 The quadratic surrogates that make the subproblems explicit are never
 formed as matrices; their effect is exactly the proximal form above, with
 positive definiteness guaranteed by tau * delta * ||op||^2 = theta < 1.
+
+Each update is a pass over the blocks that writes into a vector the step
+has just received fresh (an adjoint's output, a value of F, a resolvent's
+output), with the operations and their order of the formulas above.  So
+the step holds few v-layout temporaries, every state it returns has
+arrays of its own, and no buffer lives on from one step to the next.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockVector
+from .blocks import BlockVector, detached
 from .constraint import LinearMap, NonlinearConstraint
 from .opnorm import estimate_opnorm, fresh_start
 from .prox import ProxOp
@@ -178,11 +184,11 @@ class AdmmSolver(Solver):
     def step(self, state: SolverState) -> SolverState:
         cfg = self.cfg
         F = self.constraint
-        c = F.target
+        delta, c = cfg.delta, F.target.blocks
 
         a = F.jac_u(state.u, state.v)
         tau1 = self.step_size(a, "a")
-        u_new = self.prox_h.apply(state.u - tau1 * a.adjoint(state.mu_bar), tau1)
+        u_new = descend(a, tau1, state.u, state.mu_bar, self.prox_h)
         del a  # frees the Jacobian's scratch before the v-step's temporaries
 
         b = F.jac_v(u_new, state.v)
@@ -195,24 +201,59 @@ class AdmmSolver(Solver):
 
         # F(u^{k+1}, .) for both residuals; a separable F evaluates G once
         f_new = F.partial(u_new)
-        v_new = self.prox_j.apply(
-            state.v - tau2 * b.adjoint(
-                state.mu + cfg.delta * (f_new(state.v) - c)),
-            tau2,
-        )
+        # t = mu + delta (F(u^{k+1}, v^k) - c)
+        t = detached(f_new(state.v), u_new, state.v)
+        for ti, ci, mi in zip(t.blocks, c, state.mu.blocks):
+            np.subtract(ti, ci, out=ti)
+            np.multiply(delta, ti, out=ti)
+            np.add(mi, ti, out=ti)
+        # v^{k+1} = prox_J(v - tau2 B* t)
+        y = b.adjoint(t)
+        del t, b
+        for yi, vi in zip(y.blocks, state.v.blocks):
+            np.multiply(tau2, yi, out=yi)
+            np.subtract(vi, yi, out=yi)
+        v_new = self.prox_j.apply(y, tau2)
+        del y
 
-        full_res = f_new(v_new) - c
-        mu_new = state.mu + cfg.delta * full_res
-        mu_bar_new = 2.0 * mu_new - state.mu
+        # r = F(u^{k+1}, v^{k+1}) - c, then mu^{k+1} = mu + delta r in r
+        r = detached(f_new(v_new), u_new, v_new)
+        del f_new  # frees G(u^{k+1})
+        for ri, ci in zip(r.blocks, c):
+            np.subtract(ri, ci, out=ri)
+        residual = r.norm()
+        for ri, mi in zip(r.blocks, state.mu.blocks):
+            np.multiply(delta, ri, out=ri)
+            np.add(mi, ri, out=ri)
         return SolverState(
-            u=u_new, v=v_new, mu=mu_new, mu_bar=mu_bar_new,
-            k=state.k + 1, tau1=tau1, tau2=tau2, residual=full_res.norm(),
+            u=u_new, v=v_new, mu=r, mu_bar=extrapolate(r, state.mu),
+            k=state.k + 1, tau1=tau1, tau2=tau2, residual=residual,
         )
 
     def run(self, u0: BlockVector, v0: BlockVector, mu0: BlockVector,
             callbacks: Optional[list] = None):
         return self._drive(SolverState(u=u0.copy(), v=v0.copy(), mu=mu0.copy(),
                                        mu_bar=mu0.copy()), callbacks)
+
+
+def descend(jac: LinearMap, tau: float, u: BlockVector, mu_bar: BlockVector,
+            prox: ProxOp) -> BlockVector:
+    """The u-step prox(u - tau jac* mu_bar, tau), its argument written
+    into the adjoint's output."""
+    x = detached(jac.adjoint(mu_bar), mu_bar)
+    for xi, ui in zip(x.blocks, u.blocks):
+        np.multiply(tau, xi, out=xi)
+        np.subtract(ui, xi, out=xi)
+    return prox.apply(x, tau)
+
+
+def extrapolate(mu_new: BlockVector, mu: BlockVector) -> BlockVector:
+    """mubar = 2 mu_new - mu, into fresh arrays."""
+    blocks = []
+    for ni, mi in zip(mu_new.blocks, mu.blocks):
+        bar = np.multiply(2.0, ni)
+        blocks.append(np.subtract(bar, mi, out=bar))
+    return BlockVector(blocks)
 
 
 def run(problem: Problem, cfg: SolverConfig,

@@ -65,12 +65,14 @@ class BlockVector:
         blocks summed in order; no per-element ``hypot``."""
         total = 0.0
         for b in self.blocks:
-            r = b.reshape(-1).view(np.float64)
+            r = _real_view(b)
             total += np.dot(r, r)
         return float(np.sqrt(total))
 
     def isfinite(self) -> bool:
-        return all(np.all(np.isfinite(b)) for b in self.blocks)
+        """Every real and imaginary part is finite, checked on the float64
+        views, which is cheaper than complex ``isfinite``."""
+        return all(np.isfinite(_real_view(b)).all() for b in self.blocks)
 
     def ravel(self) -> np.ndarray:
         """Flatten to one complex vector (dense test oracles)."""
@@ -87,6 +89,26 @@ class BlockVector:
 
     def __repr__(self):
         return f"BlockVector(shapes={self.shapes})"
+
+
+def _real_view(b: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of ``b``, interleaved, as one flat float64
+    array (a view unless ``b`` is not contiguous)."""
+    return np.ascontiguousarray(b).reshape(-1).view(np.float64)
+
+
+def detached(x: BlockVector, *sources: BlockVector) -> BlockVector:
+    """``x``, or a copy of it when one of its blocks may share memory with
+    the same block of a source.
+
+    A map, operator or prox may hand back its argument; a step that will
+    overwrite the result calls this first with the arguments it does not
+    own.  The copy has the same bits, so the result is the same either way.
+    """
+    if any(np.may_share_memory(a, b)
+           for src in sources for a, b in zip(x.blocks, src.blocks)):
+        return x.copy()
+    return x
 
 
 def random_like(bv: BlockVector, rng: np.random.Generator) -> BlockVector:

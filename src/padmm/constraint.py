@@ -18,6 +18,10 @@ from .blocks import BlockVector
 class LinearMap:
     """Matrix-free linear map between block vectors.
 
+    ``apply`` and ``adjoint`` return a vector the caller may overwrite:
+    fresh arrays, or the argument itself (an identity may hand it back),
+    never an array the map keeps.
+
     ``normal``, when set, is ``normal(h, out)`` -> A* A h computed
     directly; it must agree with ``adjoint(apply(h))``.  ``out`` has the
     domain layout and never overlaps ``h``; the map writes the result
@@ -37,7 +41,9 @@ class NonlinearConstraint:
 
     Subclasses implement ``evaluate``, ``jac_u`` and ``jac_v``; ``target``
     is the right-hand side c.  ``partial(u)`` is v -> F(u, v); a subclass
-    overrides it to compute the part that depends on u alone once.  A
+    overrides it to compute the part that depends on u alone once.  Like
+    ``evaluate``, it returns a vector the caller may overwrite: fresh
+    arrays, or an argument itself, never an array the constraint keeps.  A
     subclass whose v-Jacobian is -I at every base point sets
     ``jac_v_is_neg_identity``, so the ADMM takes the exact v-minimisation.
     """

@@ -20,8 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .admm import Problem, Solver, SolverConfig, SolverState, run as run_admm
-from .blocks import BlockVector
+import numpy as np
+
+from .admm import (Problem, Solver, SolverConfig, SolverState, descend,
+                   extrapolate, run as run_admm)
+from .blocks import BlockVector, detached
 from .constraint import LinearMap, NonlinearConstraint
 # unused here, but benchmarks/spans.py patches and checks this attribute
 from .opnorm import estimate_opnorm  # noqa: F401
@@ -29,7 +32,11 @@ from .prox import ProxOp, conjugate_apply
 
 
 class SeparableOperator:
-    """Nonlinear map G(u) with a matrix-free Jacobian."""
+    """Nonlinear map G(u) with a matrix-free Jacobian.
+
+    ``evaluate`` returns a vector the caller may overwrite: fresh arrays,
+    or its argument itself, never an array the operator keeps.
+    """
 
     def evaluate(self, u: BlockVector) -> BlockVector:
         raise NotImplementedError
@@ -102,17 +109,26 @@ class PdhgmSolver(Solver):
 
     def step(self, state: SolverState) -> SolverState:
         p, cfg = self.problem, self.cfg
-        b = state.mu + cfg.delta * p.g.evaluate(state.u)
-        mu_new = conjugate_apply(p.prox_j, b, cfg.delta)
-        mu_bar = 2.0 * mu_new - state.mu
+        delta = cfg.delta
+        # b = mu + delta G(u^k), in G(u^k)'s blocks
+        b = detached(p.g.evaluate(state.u), state.u)
+        for bi, mi in zip(b.blocks, state.mu.blocks):
+            np.multiply(delta, bi, out=bi)
+            np.add(mi, bi, out=bi)
+        mu_new = conjugate_apply(p.prox_j, b, delta)
+        mu_bar = extrapolate(mu_new, state.mu)
+        # b is spent: mu^{k+1} - mu^k goes into its blocks
+        for bi, ni, mi in zip(b.blocks, mu_new.blocks, state.mu.blocks):
+            np.subtract(ni, mi, out=bi)
+        residual = b.norm() / delta
+        del b
 
         jac = p.g.jac(state.u)
         tau1 = self.step_size(jac, "a")
-        u_new = p.prox_h.apply(state.u - tau1 * jac.adjoint(mu_bar), tau1)
+        u_new = descend(jac, tau1, state.u, mu_bar, p.prox_h)
         return SolverState(
             u=u_new, v=None, mu=mu_new, mu_bar=mu_bar, k=state.k + 1,
-            tau1=tau1, tau2=1.0 / cfg.delta,
-            residual=(mu_new - state.mu).norm() / cfg.delta,
+            tau1=tau1, tau2=1.0 / delta, residual=residual,
         )
 
     def run(self, callbacks: Optional[list] = None):

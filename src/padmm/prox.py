@@ -24,7 +24,12 @@ from .fields import dft2, idft2
 
 
 class ProxOp:
-    """Base resolvent; subclasses implement ``apply`` and ``penalty``."""
+    """Base resolvent; subclasses implement ``apply`` and ``penalty``.
+
+    ``apply`` returns a result the caller may overwrite: fresh arrays, or
+    its argument itself, as :class:`IdentityProx` does, never an array the
+    resolvent keeps.
+    """
 
     def apply(self, w, tau: float):
         raise NotImplementedError
@@ -139,4 +144,13 @@ def conjugate_apply(prox: ProxOp, w, delta: float):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return w - delta * prox.apply((1.0 / delta) * w, 1.0 / delta)
+    p = prox.apply((1.0 / delta) * w, 1.0 / delta)
+    # w - delta p, written into the resolvent's output
+    for wi, pi in zip(_blocks(w), _blocks(p)):
+        np.multiply(delta, pi, out=pi)
+        np.subtract(wi, pi, out=pi)
+    return p
+
+
+def _blocks(x):
+    return x.blocks if isinstance(x, BlockVector) else (x,)

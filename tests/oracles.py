@@ -1,11 +1,12 @@
 """Oracles and toy problem parts that only the tests use: signed-zero
 inputs and a bit-for-bit comparison, slice-based reference kernels, the
 hypot reference norm, dense maps, finite-difference and adjoint checks,
-callable constraints and operators, a closed-form resolvent and the
-metrics-file parser."""
+callable constraints and operators, a closed-form resolvent, the
+solver steps as BlockVector arithmetic and the metrics-file parser."""
 
 import numpy as np
 
+from padmm.admm import SolverState
 from padmm.blocks import BlockVector, random_like
 from padmm.constraint import LinearMap, NonlinearConstraint
 from padmm.fields import grad, grad_adjoint
@@ -202,6 +203,62 @@ class QuadraticAnchorProx(ProxOp):
         if isinstance(d, BlockVector):
             return 0.5 * self.weight * d.norm() ** 2
         return 0.5 * self.weight * float(np.sum(np.abs(d) ** 2))
+
+
+def reference_admm_step(solver, state: SolverState) -> SolverState:
+    """Reference ``AdmmSolver.step``: each update as BlockVector
+    arithmetic, the same operations in the same order, so the states
+    agree bit for bit."""
+    cfg = solver.cfg
+    F = solver.constraint
+    c = F.target
+
+    a = F.jac_u(state.u, state.v)
+    tau1 = solver.step_size(a, "a")
+    u_new = solver.prox_h.apply(state.u - tau1 * a.adjoint(state.mu_bar), tau1)
+    del a
+
+    b = F.jac_v(u_new, state.v)
+    if cfg.tau2_override is not None:
+        tau2 = cfg.tau2_override
+    elif F.jac_v_is_neg_identity:
+        tau2 = 1.0 / cfg.delta
+    else:
+        tau2 = solver.step_size(b, "b")
+
+    f_new = F.partial(u_new)
+    v_new = solver.prox_j.apply(
+        state.v - tau2 * b.adjoint(
+            state.mu + cfg.delta * (f_new(state.v) - c)),
+        tau2,
+    )
+
+    full_res = f_new(v_new) - c
+    mu_new = state.mu + cfg.delta * full_res
+    mu_bar_new = 2.0 * mu_new - state.mu
+    return SolverState(
+        u=u_new, v=v_new, mu=mu_new, mu_bar=mu_bar_new,
+        k=state.k + 1, tau1=tau1, tau2=tau2, residual=full_res.norm(),
+    )
+
+
+def reference_pdhgm_step(solver, state: SolverState) -> SolverState:
+    """Reference ``PdhgmSolver.step``, with the conjugate resolvent
+    written out as w - delta prox(w / delta)."""
+    p, cfg = solver.problem, solver.cfg
+    b = state.mu + cfg.delta * p.g.evaluate(state.u)
+    mu_new = b - cfg.delta * p.prox_j.apply((1.0 / cfg.delta) * b,
+                                            1.0 / cfg.delta)
+    mu_bar = 2.0 * mu_new - state.mu
+
+    jac = p.g.jac(state.u)
+    tau1 = solver.step_size(jac, "a")
+    u_new = p.prox_h.apply(state.u - tau1 * jac.adjoint(mu_bar), tau1)
+    return SolverState(
+        u=u_new, v=None, mu=mu_new, mu_bar=mu_bar, k=state.k + 1,
+        tau1=tau1, tau2=1.0 / cfg.delta,
+        residual=(mu_new - state.mu).norm() / cfg.delta,
+    )
 
 
 def parse_metrics(text: str) -> dict:

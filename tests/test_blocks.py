@@ -81,3 +81,23 @@ def test_zeros_like_and_isfinite(pair):
     assert z.isfinite()
     bad = BlockVector([np.array([[np.nan]])])
     assert not bad.isfinite()
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_isfinite_sees_either_part(part, bad):
+    # isfinite reads the float64 view, where the parts are interleaved
+    block = np.zeros((3, 4), dtype=np.complex128)
+    x = BlockVector([np.ones(5), block])
+    assert x.isfinite()
+    getattr(block, part)[2, 3] = bad
+    assert not x.isfinite()
+    assert x.isfinite() == all(np.isfinite(b).all() for b in x.blocks)
+
+
+def test_isfinite_on_strided_and_scalar_blocks():
+    wide = np.full((2, 6), 1 + 1j)
+    wide[0, 1] = complex(0.0, np.nan)  # outside the strided view
+    assert BlockVector([wide[:, ::2], np.array(2j)]).isfinite()
+    assert not BlockVector([wide[:, 1::2]]).isfinite()
+    assert not BlockVector([np.array(complex(np.inf, 0.0))]).isfinite()
