@@ -106,6 +106,10 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
+class SolverAborted(RuntimeError):
+    """A run stopped on a non-finite iterate; the message says where."""
+
+
 @dataclass
 class Problem:
     """A complete solver input: constraint, resolvents and initial point."""

@@ -74,19 +74,6 @@ class BlockVector:
         views, which is cheaper than complex ``isfinite``."""
         return all(np.isfinite(_real_view(b)).all() for b in self.blocks)
 
-    def ravel(self) -> np.ndarray:
-        """Flatten to one complex vector (dense test oracles)."""
-        return np.concatenate([b.ravel() for b in self.blocks])
-
-    @classmethod
-    def from_ravel(cls, flat: np.ndarray, shapes) -> "BlockVector":
-        blocks, pos = [], 0
-        for s in shapes:
-            n = int(np.prod(s))
-            blocks.append(np.asarray(flat[pos : pos + n]).reshape(s))
-            pos += n
-        return cls(blocks)
-
     def __repr__(self):
         return f"BlockVector(shapes={self.shapes})"
 

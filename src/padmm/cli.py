@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
+from .admm import SolverAborted
 from .dataset import ContainerFormatError, Dataset, ReconstructionRecord
 from .metrics import write_pgm, zero_fill_baseline
 from .pipeline import (ConfigError, dataset_path, evaluate, load_config,
@@ -90,8 +91,7 @@ def main(argv=None) -> int:
             record, report = reconstruct(dataset, cfg)
             write_outputs(cfg.output, record, report)
             if report.aborted:
-                print(f"solver aborted: {report.abort_message}", file=sys.stderr)
-                return EXIT_SOLVER
+                raise SolverAborted(report.abort_message)
             print(f"reconstruction written to {record_path(cfg.output)} "
                   f"({report.iterations} iterations)")
             return EXIT_OK
@@ -123,6 +123,9 @@ def main(argv=None) -> int:
     except (ConfigError, ContainerFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except SolverAborted as exc:
+        print(f"solver aborted: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Layout: a small text header (one ``key: value`` line per metadata
 entry, one ``block: name H W`` line per field, terminated by
 ``end-header``), followed by the raw samples of each block in declared
-order as little-endian float64 interleaved real/imaginary pairs,
-row-major.  Writes are atomic (temp file + rename) and byte-identical
-for identical content, so round-trips can be compared with ``cmp``.
+order as little-endian complex128 (``<c16``), row-major.  Writes are
+atomic (temp file + rename) and byte-identical for identical content,
+so round-trips can be compared with ``cmp``.
 """
 
 from __future__ import annotations
@@ -25,24 +25,6 @@ MAGIC_RECORD = "PADMM-RECORD 1"
 
 class ContainerFormatError(ValueError):
     pass
-
-
-def _encode_block(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype=np.complex128)
-    inter = np.empty(arr.size * 2, dtype="<f8")
-    inter[0::2] = arr.real.ravel()
-    inter[1::2] = arr.imag.ravel()
-    return inter.tobytes()
-
-
-def _decode_block(buf: bytes, shape) -> np.ndarray:
-    inter = np.frombuffer(buf, dtype="<f8")
-    # assign components instead of re + 1j*im, which would flip the sign
-    # bit of negative zeros and break byte-identical round trips
-    out = np.empty(inter.size // 2, dtype=np.complex128)
-    out.real = inter[0::2]
-    out.imag = inter[1::2]
-    return out.reshape(shape)
 
 
 def atomic_write(path, chunks):
@@ -77,8 +59,8 @@ def write_container(path, magic: str, meta: dict, blocks: dict):
     lines.append("end-header")
     header = ("\n".join(lines) + "\n").encode("utf-8")
     # a generator, so only one encoded block is held in memory at a time
-    atomic_write(path, itertools.chain(
-        [header], (_encode_block(arr) for arr in blocks.values())))
+    atomic_write(path, itertools.chain([header], (
+        np.asarray(arr, dtype="<c16").tobytes() for arr in blocks.values())))
 
 
 def _block_entry(value: str):
@@ -128,7 +110,8 @@ def read_container(path, magic: str):
             # checked before reading, so an absurd shape allocates nothing
             if nbytes > size - fh.tell():
                 raise ContainerFormatError(f"truncated block {name!r}")
-            blocks[name] = _decode_block(fh.read(nbytes), shape)
+            raw = np.frombuffer(fh.read(nbytes), dtype="<c16")
+            blocks[name] = raw.astype(np.complex128).reshape(shape)
     return meta, blocks
 
 
@@ -178,15 +161,12 @@ class Dataset:
     def save(self, path):
         meta = {
             "n": self.n_coils,
-            "height": self.shape[0],
-            "width": self.shape[1],
             "sigma": repr(float(self.sigma)),
             "noise_seed": int(self.noise_seed),
             "coil_seed": int(self.coil_seed),
             "fraction": repr(float(self.fraction)),
-            "has_ground_truth": int(self.phantom is not None),
         }
-        blocks = {"mask": self.mask.astype(np.complex128)}
+        blocks = {"mask": self.mask}
         for j, f in enumerate(self.data):
             blocks[f"kspace_{j}"] = f
         if self.phantom is not None:
@@ -238,8 +218,6 @@ class ReconstructionRecord:
     def save(self, path):
         meta = {
             "n": len(self.coil_maps),
-            "height": self.u.shape[0],
-            "width": self.u.shape[1],
             "algorithm": self.algorithm,
             "iterations": int(self.iterations),
             "final_residual": repr(float(self.final_residual)),

@@ -94,10 +94,7 @@ class CoilGradOperator(SeparableOperator):
         # adjoint(apply(h)) coil by coil: the same operations in the same
         # order, so bit-identical, without the v-layout intermediate; the
         # rows go into ``out``'s blocks, which must not overlap ``h``
-        def normal(h: BlockVector,
-                   out: BlockVector | None = None) -> BlockVector:
-            if out is None:
-                out = BlockVector.zeros(self.u_shapes)
+        def normal(h: BlockVector, out: BlockVector) -> BlockVector:
             h0 = out[0]
             h0.fill(0)
             for j, c in enumerate(coils):

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .admm import (Problem, Solver, SolverConfig, SolverState, descend,
-                   extrapolate, run as run_admm)
+from .admm import (Problem, Solver, SolverAborted, SolverConfig, SolverState,
+                   descend, extrapolate, run as run_admm)
 from .blocks import BlockVector, detached
 from .constraint import LinearMap, NonlinearConstraint
 # unused here, but benchmarks/spans.py patches and checks this attribute
@@ -145,26 +145,27 @@ def equivalence_check(problem: SeparableProblem, cfg: SolverConfig,
                       iterations: int) -> float:
     """Max deviation between the ADMM and dual-first u-sequences.
 
-    Runs the full ADMM (tau2 = 1/delta, as B = -I) on F(u, v) = G(u) - v, then
-    the dual-first iteration started from the ADMM's first u-iterate,
-    and compares after the one-index shift induced by the reordering.
-    Warm-started norm estimation is disabled so both solvers obtain
-    bit-identical step sizes for identical base points.
+    Runs the ADMM (tau2 = 1/delta, as B = -I) on F(u, v) = G(u) - v, then
+    the dual-first iteration from its first u-iterate, comparing each
+    iterate on arrival after the one-index shift the reordering induces.
+    Norm estimation starts cold, so equal base points give both solvers
+    bit-identical step sizes.  Either run aborting raises SolverAborted.
     """
-    admm_cfg = replace(cfg, warm_start_opnorm=False,
-                       max_iterations=iterations + 1)
+    cfg = replace(cfg, warm_start_opnorm=False)
     u_hist = []
-    run_admm(problem.as_admm_problem(), admm_cfg,
-             callbacks=[lambda st: u_hist.append(st.u)])
+    _, report = run_admm(problem.as_admm_problem(),
+                         replace(cfg, max_iterations=iterations + 1),
+                         callbacks=[lambda st: u_hist.append(st.u)])
+    admm_u, deviation = iter(u_hist), 0.0
 
-    pd_problem = replace(problem, u0=u_hist[0])
-    pd_cfg = replace(cfg, warm_start_opnorm=False, max_iterations=iterations)
-    pd_hist = []
-    PdhgmSolver(pd_problem, pd_cfg).run(
-        callbacks=[lambda u, mu: pd_hist.append(u)]
-    )
+    def compare(u, _mu):
+        nonlocal deviation
+        deviation = max(deviation, (u - next(admm_u)).norm())
 
-    deviation = 0.0
-    for k, u_pd in enumerate(pd_hist):
-        deviation = max(deviation, (u_pd - u_hist[k + 1]).norm())
+    if not report.aborted:
+        solver = PdhgmSolver(replace(problem, u0=next(admm_u)),
+                             replace(cfg, max_iterations=iterations))
+        _, _, report = solver.run(callbacks=[compare])
+    if report.aborted:
+        raise SolverAborted(report.abort_message)
     return deviation

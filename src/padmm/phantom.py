@@ -106,12 +106,12 @@ def _normalized_grid(size: int):
     return np.meshgrid(ax, ax, indexing="xy")
 
 
-def build_phantom(spec: PhantomSpec, tissues: dict = TISSUES) -> np.ndarray:
+def build_phantom(spec: PhantomSpec) -> np.ndarray:
     """Rasterize the ellipse composite; real signal, max modulus 1."""
     x, y = _normalized_grid(spec.size)
     img = np.zeros((spec.size, spec.size), dtype=np.float64)
     for e in spec.ellipses:
-        t = tissues[e.tissue]
+        t = TISSUES[e.tissue]
         phi = math.radians(e.angle_deg)
         xr = (x - e.cx) * math.cos(phi) + (y - e.cy) * math.sin(phi)
         yr = (y - e.cy) * math.cos(phi) - (x - e.cx) * math.sin(phi)

@@ -1,8 +1,9 @@
 """Oracles and toy problem parts that only the tests use: signed-zero
 inputs and a bit-for-bit comparison, slice-based reference kernels, the
-hypot reference norm, dense maps, finite-difference and adjoint checks,
-callable constraints and operators, a closed-form resolvent, the
-solver steps as BlockVector arithmetic and the metrics-file parser."""
+hypot reference norm, flattening and dense maps, finite-difference and
+adjoint checks, callable constraints and operators, a closed-form
+resolvent, the solver steps as BlockVector arithmetic, the
+interleaving ``.pad`` block codec and the metrics-file parser."""
 
 import numpy as np
 
@@ -85,13 +86,28 @@ def norm_hypot(x: BlockVector) -> float:
     return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in x.blocks)))
 
 
+def ravel(x: BlockVector) -> np.ndarray:
+    """Flatten to one complex vector (dense test oracles)."""
+    return np.concatenate([b.ravel() for b in x.blocks])
+
+
+def from_ravel(flat: np.ndarray, shapes) -> BlockVector:
+    """Inverse of :func:`ravel` for the layout ``shapes``."""
+    blocks, pos = [], 0
+    for s in shapes:
+        n = int(np.prod(s))
+        blocks.append(np.asarray(flat[pos : pos + n]).reshape(s))
+        pos += n
+    return BlockVector(blocks)
+
+
 def dense_map(m):
     """The matrix ``m`` as a LinearMap between single flat blocks."""
     dom = ((m.shape[1],),)
     cod = ((m.shape[0],),)
     return LinearMap(
-        apply=lambda x: BlockVector.from_ravel(m @ x.ravel(), cod),
-        adjoint=lambda y: BlockVector.from_ravel(m.conj().T @ y.ravel(), dom),
+        apply=lambda x: from_ravel(m @ ravel(x), cod),
+        adjoint=lambda y: from_ravel(m.conj().T @ ravel(y), dom),
         domain_shapes=dom, codomain_shapes=cod,
     )
 
@@ -112,8 +128,8 @@ def materialize(lm: LinearMap) -> np.ndarray:
     for k in range(n):
         e = np.zeros(n, dtype=np.complex128)
         e[k] = 1.0
-        x = BlockVector.from_ravel(e, lm.domain_shapes)
-        cols.append(lm.apply(x).ravel())
+        x = from_ravel(e, lm.domain_shapes)
+        cols.append(ravel(lm.apply(x)))
     return np.stack(cols, axis=1)
 
 
@@ -259,6 +275,26 @@ def reference_pdhgm_step(solver, state: SolverState) -> SolverState:
         tau1=tau1, tau2=1.0 / cfg.delta,
         residual=(mu_new - state.mu).norm() / cfg.delta,
     )
+
+
+def encode_interleaved(arr) -> bytes:
+    """Reference ``.pad`` block encoder: real and imaginary parts
+    interleaved by hand through a little-endian float64 buffer."""
+    arr = np.asarray(arr, dtype=np.complex128)
+    inter = np.empty(arr.size * 2, dtype="<f8")
+    inter[0::2] = arr.real.ravel()
+    inter[1::2] = arr.imag.ravel()
+    return inter.tobytes()
+
+
+def decode_interleaved(buf: bytes, shape) -> np.ndarray:
+    """Reference ``.pad`` block decoder; the parts are assigned, never
+    formed as re + 1j*im, which would flip the sign of negative zeros."""
+    inter = np.frombuffer(buf, dtype="<f8")
+    out = np.empty(inter.size // 2, dtype=np.complex128)
+    out.real = inter[0::2]
+    out.imag = inter[1::2]
+    return out.reshape(shape)
 
 
 def parse_metrics(text: str) -> dict:

@@ -27,7 +27,8 @@ from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx, conjugate_apply)
 
 from oracles import (QuadraticAnchorProx, adjoint_check, affine_constraint,
-                     fd_jacobian_check, random_field, random_gradient)
+                     fd_jacobian_check, from_ravel, random_field,
+                     random_gradient, ravel)
 from test_admm import scalar_consensus
 
 
@@ -194,20 +195,20 @@ class TestCriterion3:
         khk = k.conj().T @ k
         q1 = (1.0 / state.tau1) * eye - delta * khk
         m_u = delta * khk + wh * eye + q1
-        rhs_u = (delta * k.conj().T @ (c + v_k).ravel()
-                 - k.conj().T @ mu_k.ravel()
-                 + wh * anchor_u.ravel() + q1 @ u_k.ravel())
+        rhs_u = (delta * k.conj().T @ ravel(c + v_k)
+                 - k.conj().T @ ravel(mu_k)
+                 + wh * ravel(anchor_u) + q1 @ ravel(u_k))
         u_direct = np.linalg.solve(m_u, rhs_u)
-        ok = np.linalg.norm(state.u.ravel() - u_direct) \
+        ok = np.linalg.norm(ravel(state.u) - u_direct) \
             <= 1e-10 * max(np.linalg.norm(u_direct), 1.0)
 
         q2 = (1.0 / state.tau2 - delta) * eye
-        c2 = (c - BlockVector.from_ravel(k @ state.u.ravel(), shapes)).ravel()
+        c2 = ravel(c - from_ravel(k @ ravel(state.u), shapes))
         m_v = (delta + wj) * eye + q2
-        rhs_v = (-delta * c2 + mu_k.ravel()
-                 + wj * anchor_v.ravel() + q2 @ v_k.ravel())
+        rhs_v = (-delta * c2 + ravel(mu_k)
+                 + wj * ravel(anchor_v) + q2 @ ravel(v_k))
         v_direct = np.linalg.solve(m_v, rhs_v)
-        ok &= np.linalg.norm(state.v.ravel() - v_direct) \
+        ok &= np.linalg.norm(ravel(state.v) - v_direct) \
             <= 1e-10 * max(np.linalg.norm(v_direct), 1.0)
 
         report(3, "dense surrogate algebra pin", ok)

@@ -8,7 +8,8 @@ from padmm.blocks import BlockVector, random_like
 from padmm.constraint import LinearMap
 from padmm.prox import IdentityProx
 
-from oracles import CallableConstraint, QuadraticAnchorProx, affine_constraint
+from oracles import (CallableConstraint, QuadraticAnchorProx,
+                     affine_constraint, from_ravel, ravel)
 
 
 def scalar_consensus():
@@ -161,23 +162,23 @@ class TestSurrogateAlgebra:
 
         # u-subproblem: stationarity of the surrogate objective
         q1 = (1.0 / state.tau1) * eye - delta * khk
-        c1 = (c + v_k).ravel()
+        c1 = ravel(c + v_k)
         m_u = delta * khk + wh * eye + q1
-        rhs_u = (delta * k.conj().T @ c1 - k.conj().T @ mu_k.ravel()
-                 + wh * anchor_u.ravel() + q1 @ u_k.ravel())
+        rhs_u = (delta * k.conj().T @ c1 - k.conj().T @ ravel(mu_k)
+                 + wh * ravel(anchor_u) + q1 @ ravel(u_k))
         u_direct = np.linalg.solve(m_u, rhs_u)
         scale = max(np.linalg.norm(u_direct), 1.0)
-        assert np.linalg.norm(state.u.ravel() - u_direct) <= 1e-10 * scale
+        assert np.linalg.norm(ravel(state.u) - u_direct) <= 1e-10 * scale
 
         # v-subproblem with B = -I
         q2 = (1.0 / state.tau2) * eye - delta * eye
-        c2 = (c - BlockVector.from_ravel(k @ state.u.ravel(), shapes)).ravel()
+        c2 = ravel(c - from_ravel(k @ ravel(state.u), shapes))
         m_v = delta * eye + wj * eye + q2
-        rhs_v = (-delta * c2 + mu_k.ravel()
-                 + wj * anchor_v.ravel() + q2 @ v_k.ravel())
+        rhs_v = (-delta * c2 + ravel(mu_k)
+                 + wj * ravel(anchor_v) + q2 @ ravel(v_k))
         v_direct = np.linalg.solve(m_v, rhs_v)
         scale = max(np.linalg.norm(v_direct), 1.0)
-        assert np.linalg.norm(state.v.ravel() - v_direct) <= 1e-10 * scale
+        assert np.linalg.norm(ravel(state.v) - v_direct) <= 1e-10 * scale
 
         # multiplier update and extrapolation
         mu_direct = mu_k + delta * (F.evaluate(state.u, state.v) - c)
@@ -215,12 +216,12 @@ class TestSurrogateAlgebra:
         mhm = m.conj().T @ m
         q2 = (1.0 / state.tau2) * eye - delta * mhm
         m_v = wj * eye + delta * mhm + q2
-        rhs_v = (wj * anchor_v.ravel() - m.conj().T @ mu_k.ravel()
-                 - delta * m.conj().T @ (k @ state.u.ravel() - c.ravel())
-                 + q2 @ v_k.ravel())
+        rhs_v = (wj * ravel(anchor_v) - m.conj().T @ ravel(mu_k)
+                 - delta * m.conj().T @ (k @ ravel(state.u) - ravel(c))
+                 + q2 @ ravel(v_k))
         v_direct = np.linalg.solve(m_v, rhs_v)
         scale = max(np.linalg.norm(v_direct), 1.0)
-        assert np.linalg.norm(state.v.ravel() - v_direct) <= 1e-10 * scale
+        assert np.linalg.norm(ravel(state.v) - v_direct) <= 1e-10 * scale
 
 
 class TestDivergenceHandling:

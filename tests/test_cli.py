@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import yaml
 
 from padmm.admm import ConvergenceReport
 from padmm.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
-from padmm.dataset import ContainerFormatError, Dataset, ReconstructionRecord
+from padmm.dataset import (MAGIC_DATASET, MAGIC_RECORD, ContainerFormatError,
+                           Dataset, ReconstructionRecord, read_container)
 from padmm.pipeline import load_config
 
 from oracles import parse_metrics
@@ -104,6 +106,20 @@ def test_readme_walkthrough_config_loads(tmp_path):
     assert cfg.phantom.size == 96
     assert cfg.coils == 4
     assert cfg.solver.max_iterations == 1500
+
+
+def test_readme_lists_the_header_keys(workspace):
+    # the File format section names each file's metadata keys in the
+    # order ``save`` writes them
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = dict(re.findall(r"^- `(\w+\.pad)`: (.+)$", readme, re.M))
+    config, out = workspace
+    main(["simulate", "--config", str(config)])
+    main(["reconstruct", "--config", str(config)])
+    for name, magic in (("dataset.pad", MAGIC_DATASET),
+                        ("recon.pad", MAGIC_RECORD)):
+        meta, _ = read_container(out / name, magic)
+        assert re.findall(r"`(\w+)`", listed[name]) == list(meta)
 
 
 def test_seed_override_changes_noise(workspace, tmp_path):
@@ -309,6 +325,23 @@ def test_divergence_exits_3_and_eval_still_reports(workspace, capsys, recwarn,
     assert float(values["psnr_zerofill_db"]) == -math.inf
     assert math.isfinite(float(values["psnr_recon_db"]))
     # the abort message is the one report of the divergence
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_equivalence_on_diverging_data_exits_3(workspace, capsys, recwarn):
+    config, out = workspace
+    main(["simulate", "--config", str(config)])
+    path = out / "dataset.pad"
+    dataset = Dataset.load(path)
+    dataset.data = [1e300 * f for f in dataset.data]
+    dataset.save(path)
+    capsys.readouterr()
+    assert main(["equivalence", "--config", str(config),
+                 "--iters", "5"]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == ("solver aborted: non-finite iterate at "
+                            "iteration 1\n")
+    assert captured.out == ""
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

@@ -3,9 +3,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padmm.dataset import (MAGIC_DATASET, ContainerFormatError, Dataset,
-                           ReconstructionRecord, read_container,
+from padmm.dataset import (MAGIC_DATASET, MAGIC_RECORD, ContainerFormatError,
+                           Dataset, ReconstructionRecord, read_container,
                            write_container)
+
+from oracles import decode_interleaved, encode_interleaved, signed_zero_field
+
+# +-inf and NaNs of either sign, quiet and signalling, with payloads
+SPECIALS = np.array([0x7FF0000000000000, 0xFFF0000000000000,
+                     0x7FF80000DEADBEEF, 0xFFF8000000000123,
+                     0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+# keys that headers carried before: no loader reads them
+DROPPED_KEYS = {"height", "width", "has_ground_truth"}
 
 
 def small_dataset():
@@ -20,6 +29,19 @@ def small_dataset():
     return Dataset(mask=mask, data=data, sigma=0.05, noise_seed=7,
                    coil_seed=11, fraction=float(mask.mean()),
                    phantom=phantom, coil_maps=maps)
+
+
+def record(path) -> ReconstructionRecord:
+    """A small record, saved to ``path``."""
+    rng = np.random.default_rng(3)
+    rec = ReconstructionRecord(
+        u=rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),
+        coil_maps=[rng.standard_normal((6, 6)).astype(complex)],
+        algorithm="admm", iterations=17,
+        final_residual=1.25e-4, wall_ms=12.5,
+    )
+    rec.save(path)
+    return rec
 
 
 @pytest.fixture
@@ -85,6 +107,87 @@ class TestContainer:
                             {"a:b": 1}, {})
 
 
+def special_field(rng, shape, kind):
+    """:func:`signed_zero_field` with infinities and NaN payloads written
+    into about a quarter of its parts."""
+    x = signed_zero_field(rng, shape, kind)
+    for part in [x] if kind == "real" else [x.real, x.imag]:
+        at = rng.random(part.shape) < 0.25
+        part[at] = SPECIALS[rng.integers(0, SPECIALS.size, at.sum())]
+    return x
+
+
+def payload(raw: bytes) -> bytes:
+    return raw[raw.index(b"end-header\n") + len(b"end-header\n"):]
+
+
+class TestCodec:
+    """Blocks are written as ``<c16`` bytes and read back through a
+    ``<c16`` view; the interleaving codec is the reference."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from(["real", "complex", "strided"]),
+           st.integers(0, 10_000))
+    def test_bytes_and_bits_match_the_interleaving_codec(self, tmp_path, h, w,
+                                                         kind, seed):
+        x = special_field(np.random.default_rng(seed), (h, w), kind)
+        path = tmp_path / "c.pad"
+        write_container(path, MAGIC_DATASET, {}, {"a": x})
+        raw = payload(path.read_bytes())
+        assert raw == encode_interleaved(x)
+        _, blocks = read_container(path, MAGIC_DATASET)
+        back = blocks["a"]
+        assert back.dtype == np.complex128 and back.shape == (h, w)
+        assert back.flags.writeable and back.flags.c_contiguous
+        assert back.tobytes() == decode_interleaved(raw, (h, w)).tobytes()
+        assert back.tobytes() == np.asarray(x, dtype=np.complex128).tobytes()
+
+
+class TestHeaderKeys:
+    def test_written_headers_carry_only_read_keys(self, dataset, tmp_path):
+        dataset.save(tmp_path / "d.pad")
+        meta, _ = read_container(tmp_path / "d.pad", MAGIC_DATASET)
+        assert list(meta) == ["n", "sigma", "noise_seed", "coil_seed",
+                              "fraction"]
+        record(tmp_path / "r.pad")
+        meta, _ = read_container(tmp_path / "r.pad", MAGIC_RECORD)
+        assert list(meta) == ["n", "algorithm", "iterations",
+                              "final_residual", "wall_ms"]
+
+    def test_dataset_with_dropped_keys_loads(self, dataset, tmp_path):
+        # the earlier layout: height and width after n, has_ground_truth
+        # last; the values contradict the blocks and are still ignored
+        new, old = tmp_path / "new.pad", tmp_path / "old.pad"
+        dataset.save(new)
+        raw = new.read_bytes()
+        raw = raw.replace(b"\nn: 2\n", b"\nn: 2\nheight: 999\nwidth: 8\n")
+        raw = raw.replace(b"\nblock: mask",
+                          b"\nhas_ground_truth: 0\nblock: mask")
+        old.write_bytes(raw)
+        assert DROPPED_KEYS <= set(read_container(old, MAGIC_DATASET)[0])
+        a, b = Dataset.load(new), Dataset.load(old)
+        assert payload(raw) == payload(new.read_bytes())
+        for field in ("sigma", "noise_seed", "coil_seed", "fraction"):
+            assert getattr(a, field) == getattr(b, field)
+        for x, y in zip([a.mask, a.phantom] + a.data + a.coil_maps,
+                        [b.mask, b.phantom] + b.data + b.coil_maps):
+            assert x.tobytes() == y.tobytes()
+
+    def test_record_with_dropped_keys_loads(self, tmp_path):
+        new, old = tmp_path / "new.pad", tmp_path / "old.pad"
+        rec = record(new)
+        old.write_bytes(new.read_bytes().replace(
+            b"\nn: 1\n", b"\nn: 1\nheight: 6\nwidth: 6\n"))
+        back = ReconstructionRecord.load(old)
+        assert back.u.tobytes() == rec.u.tobytes()
+        assert back.coil_maps[0].tobytes() == rec.coil_maps[0].tobytes()
+        assert (back.algorithm, back.iterations, back.final_residual,
+                back.wall_ms) == (rec.algorithm, rec.iterations,
+                                  rec.final_residual, rec.wall_ms)
+
+
 class TestDataset:
     def test_round_trip(self, dataset, tmp_path):
         path = tmp_path / "d.pad"
@@ -120,15 +223,8 @@ class TestDataset:
 
 class TestRecord:
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        rec = ReconstructionRecord(
-            u=rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),
-            coil_maps=[rng.standard_normal((6, 6)).astype(complex)],
-            algorithm="admm", iterations=17,
-            final_residual=1.25e-4, wall_ms=12.5,
-        )
         path = tmp_path / "r.pad"
-        rec.save(path)
+        rec = record(path)
         back = ReconstructionRecord.load(path)
         assert np.array_equal(back.u, rec.u)
         assert np.array_equal(back.coil_maps[0], rec.coil_maps[0])

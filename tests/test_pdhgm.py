@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from padmm.constraint import LinearMap
 from padmm.mri import separable_problem
 from padmm.pdhgm import (PdhgmSolver, SeparableConstraint, SeparableProblem,
                          equivalence_check)
-from padmm.admm import AdmmSolver, SolverConfig, SolverState
+from padmm.admm import AdmmSolver, SolverAborted, SolverConfig, SolverState
 from padmm.pipeline import config_from_dict, mri_problem, simulate
 from padmm.prox import IdentityProx, conjugate_apply
 
@@ -195,6 +196,53 @@ class TestEquivalence:
         cfg = SolverConfig(delta=1.0, max_iterations=50,
                            power_iter_tol=1e-12, power_iter_max=2000)
         assert equivalence_check(problem, cfg, 50) <= 1e-8
+
+
+    @pytest.mark.parametrize("poisoned", ["admm", "pdhgm"])
+    def test_an_aborted_run_raises(self, monkeypatch, poisoned):
+        # either solver's abort ends the check: no deviation is reported
+        # for sequences that stopped early
+        shapes = ((3,),)
+        problem = denoising_problem(shapes, BlockVector.zeros(shapes))
+        problem = replace(problem, u0=BlockVector([np.ones(3, complex)]))
+        solver = {"admm": AdmmSolver, "pdhgm": PdhgmSolver}[poisoned]
+        step = solver.step
+
+        def poisoned_step(self, state):
+            new = step(self, state)
+            if new.k == 3:
+                new.u.blocks[0][0] = np.nan
+            return new
+
+        monkeypatch.setattr(solver, "step", poisoned_step)
+        with pytest.raises(SolverAborted,
+                           match="non-finite iterate at iteration 3"):
+            equivalence_check(problem, SolverConfig(), 5)
+
+    def test_history_grows_by_one_u_per_iteration(self):
+        # only the ADMM's u-iterates are kept; each dual-first iterate is
+        # compared as it arrives, so the peak grows by one u-layout vector
+        # per extra iteration, not two
+        exp = config_from_dict({
+            "phantom": {"size": 32},
+            "coils": {"count": 2, "seed": 1},
+            "sampling": {"fraction": 0.3, "turns": 3.0, "sigma": 0.05,
+                         "seed": 0},
+            "solver": {"delta": 0.5, "power_iter_tol": 1e-6,
+                       "power_iter_max": 100},
+            "weights": {"lam": 0.0621, "alpha0": 0.062, "alpha": 0.9317},
+        })
+        problem = separable_problem(mri_problem(simulate(exp), exp))
+        u_bytes = sum(b.nbytes for b in problem.u0.blocks)
+        peaks = []
+        for iterations in (5, 25):
+            tracemalloc.start()
+            try:
+                equivalence_check(problem, exp.solver, iterations)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 20 <= 1.25 * u_bytes
 
 
 class TestSeparableConstraintAdapter:
