@@ -41,9 +41,9 @@ from .prox import ProxOp
 class SolverConfig:
     delta: float = 1.0
     theta: float = 0.99
-    max_iterations: int = 100
-    power_iter_tol: float = 1e-9
-    power_iter_max: int = 500
+    max_iterations: int = 1500
+    power_iter_tol: float = 1e-7
+    power_iter_max: int = 100
     tau2_override: Optional[float] = None
     warm_start_opnorm: bool = True
     seed: int = 0

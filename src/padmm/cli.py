@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from .admm import SolverAborted
@@ -74,58 +75,62 @@ def _load_dataset(cfg, args) -> Dataset:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        os.makedirs(cfg.output, exist_ok=True)
+    # earlier filters (-W, pytest's) win; what passes is reported below
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", append=True)
+        try:
+            return _run(args)
+        except (ConfigError, ContainerFormatError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except SolverAborted as exc:
+            print(f"solver aborted: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+        finally:
+            sources = {}
+            for w in caught:
+                sources.setdefault((w.filename, w.lineno), []).append(w.message)
+            for first, *more in sources.values():
+                again = f" (seen {len(more) + 1} times)" if more else ""
+                print(f"warning: {first}{again}", file=sys.stderr)
 
-        if args.command == "simulate":
-            dataset = simulate(cfg)
-            path = dataset_path(cfg.output)
-            dataset.save(path)
-            print(f"dataset written to {path} "
-                  f"({dataset.n_coils} coils, fraction {dataset.fraction:.4f})")
-            return EXIT_OK
 
-        if args.command == "reconstruct":
-            dataset = _load_dataset(cfg, args)
-            record, report = reconstruct(dataset, cfg)
-            write_outputs(cfg.output, record, report)
-            if report.aborted:
-                raise SolverAborted(report.abort_message)
-            print(f"reconstruction written to {record_path(cfg.output)} "
-                  f"({report.iterations} iterations)")
-            return EXIT_OK
+def _run(args) -> int:
+    cfg = _apply_overrides(load_config(args.config), args)
+    os.makedirs(cfg.output, exist_ok=True)
 
-        if args.command == "baseline":
-            dataset = _load_dataset(cfg, args)
-            baseline = zero_fill_baseline(dataset.data)
-            write_pgm(os.path.join(cfg.output, "zerofill.pgm"), baseline)
-            print(f"zero-filling baseline written to {cfg.output}/zerofill.pgm")
-            return EXIT_OK
+    if args.command == "simulate":
+        dataset = simulate(cfg)
+        path = dataset_path(cfg.output)
+        dataset.save(path)
+        print(f"dataset written to {path} "
+              f"({dataset.n_coils} coils, fraction {dataset.fraction:.4f})")
+        return EXIT_OK
 
-        if args.command == "eval":
-            dataset = _load_dataset(cfg, args)
-            rec_path = args.recon or record_path(cfg.output)
-            if not os.path.exists(rec_path):
-                raise ConfigError(f"record file not found: {rec_path}")
-            record = ReconstructionRecord.load(rec_path)
-            values = evaluate(record, dataset)
-            print(write_metrics(cfg.output, values), end="")
-            return EXIT_OK
-
-        if args.command == "equivalence":
-            dataset = _load_dataset(cfg, args)
-            iters = args.iters if args.iters is not None else 50
-            deviation = run_equivalence(dataset, cfg, iterations=iters)
-            print(f"max iterate deviation over {iters} iterations: "
-                  f"{deviation:.3e}")
-            return EXIT_OK
-    except (ConfigError, ContainerFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SolverAborted as exc:
-        print(f"solver aborted: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    dataset = _load_dataset(cfg, args)
+    if args.command == "reconstruct":
+        record, report = reconstruct(dataset, cfg)
+        write_outputs(cfg.output, record, report)
+        if report.aborted:
+            raise SolverAborted(report.abort_message)
+        print(f"reconstruction written to {record_path(cfg.output)} "
+              f"({report.iterations} iterations)")
+    elif args.command == "baseline":
+        baseline = zero_fill_baseline(dataset.data)
+        write_pgm(os.path.join(cfg.output, "zerofill.pgm"), baseline)
+        print(f"zero-filling baseline written to {cfg.output}/zerofill.pgm")
+    elif args.command == "eval":
+        rec_path = args.recon or record_path(cfg.output)
+        if not os.path.exists(rec_path):
+            raise ConfigError(f"record file not found: {rec_path}")
+        record = ReconstructionRecord.load(rec_path)
+        print(write_metrics(cfg.output, evaluate(record, dataset)), end="")
+    else:  # equivalence
+        iters = args.iters if args.iters is not None else 50
+        deviation = run_equivalence(dataset, cfg, iterations=iters)
+        print(f"max iterate deviation over {iters} iterations: "
+              f"{deviation:.3e}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

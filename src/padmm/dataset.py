@@ -70,8 +70,8 @@ def _block_entry(value: str):
         shape = (int(h), int(w))
     except ValueError:
         raise ContainerFormatError(f"malformed block line {value!r}") from None
-    if min(shape) < 0:
-        raise ContainerFormatError(f"negative block shape in {value!r}")
+    if min(shape) < 1:
+        raise ContainerFormatError(f"empty or negative block in {value!r}")
     return name, shape
 
 

@@ -40,6 +40,8 @@ TR_MS = 10000.0
 TE_MS = 90.0
 TI_MS = 1781.0
 
+FRACTION_TOL = 0.02  # how far a spiral mask's coverage may miss its target
+
 
 def flair_signal(rho, t1, t2, tr=TR_MS, te=TE_MS, ti=TI_MS):
     """FLAIR signal s = rho (1 - 2 e^{-TI/T1}) (1 - e^{-TR/T1}) e^{-TE/T2}."""
@@ -80,14 +82,12 @@ DEFAULT_ELLIPSES = (
 @dataclass(frozen=True)
 class PhantomSpec:
     size: int = 190
-    ellipses: tuple = DEFAULT_ELLIPSES
 
 
 @dataclass(frozen=True)
 class SamplingSpec:
     fraction: float = 0.25
     turns: float = 12.0
-    fraction_tol: float = 0.02
     sigma: float = 0.05
     noise_seed: int = 0
 
@@ -110,7 +110,7 @@ def build_phantom(spec: PhantomSpec) -> np.ndarray:
     """Rasterize the ellipse composite; real signal, max modulus 1."""
     x, y = _normalized_grid(spec.size)
     img = np.zeros((spec.size, spec.size), dtype=np.float64)
-    for e in spec.ellipses:
+    for e in DEFAULT_ELLIPSES:
         t = TISSUES[e.tissue]
         phi = math.radians(e.angle_deg)
         xr = (x - e.cx) * math.cos(phi) + (y - e.cy) * math.sin(phi)
@@ -123,7 +123,7 @@ def build_phantom(spec: PhantomSpec) -> np.ndarray:
     return img.astype(np.complex128)
 
 
-def make_coil_maps(n: int, size: int, seed: int = 0) -> list:
+def make_coil_maps(n: int, size: int, seed: int) -> list:
     """Smooth synthetic complex sensitivity maps, deterministic per seed.
 
     Gaussian magnitude profiles centered around the field of view with a
@@ -184,7 +184,7 @@ def spiral_mask(spec: SamplingSpec, size: int) -> np.ndarray:
     """Binary k-space mask with DC at index [0, 0].
 
     Line thickness is found by bisection so the covered fraction lands
-    within ``fraction_tol`` of the target; deterministic, seed-free.
+    within ``FRACTION_TOL`` of the target; deterministic, seed-free.
     """
     spec.validate()
     if spec.fraction >= 1.0:
@@ -199,24 +199,18 @@ def spiral_mask(spec: SamplingSpec, size: int) -> np.ndarray:
     else:
         raise MaskFractionError("spiral cannot reach the requested fraction")
 
-    best = None
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        m = _stamp_spiral(size, spec.turns, mid)
-        frac = m.mean()
-        if abs(frac - spec.fraction) <= spec.fraction_tol:
-            best = m
-            break
+        centered = _stamp_spiral(size, spec.turns, mid)
+        frac = centered.mean()
+        if abs(frac - spec.fraction) <= FRACTION_TOL:
+            return np.fft.ifftshift(centered.astype(np.float64))
         if frac < spec.fraction:
             lo = mid
         else:
             hi = mid
-    if best is None:
-        raise MaskFractionError(
-            f"search ended {abs(frac - spec.fraction):.3f} away from target"
-        )
-    centered = best.astype(np.float64)
-    return np.fft.ifftshift(centered)
+    raise MaskFractionError(
+        f"search ended {abs(frac - spec.fraction):.3f} away from target")
 
 
 def simulate_kspace(phantom: np.ndarray, coil_maps, mask: np.ndarray,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -27,15 +27,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    phantom: PhantomSpec
-    coils: int
-    coil_seed: int
-    sampling: SamplingSpec
-    solver: SolverConfig
-    algorithm: str
-    lam: object
-    alpha0: float
-    alpha: object
+    phantom: PhantomSpec = field(default_factory=PhantomSpec)
+    coils: int = 8
+    coil_seed: int = 1
+    sampling: SamplingSpec = field(default_factory=SamplingSpec)
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    algorithm: str = "admm"
+    lam: object = 0.0621      # a scalar or one value per coil
+    alpha0: float = 0.062
+    alpha: object = 0.9317    # a scalar or one value per coil
     output: str = "out"
 
     def validate(self) -> "ExperimentConfig":
@@ -45,6 +45,8 @@ class ExperimentConfig:
             raise ConfigError("phantom size must be at least 1")
         if self.coils < 1:
             raise ConfigError("coil count must be at least 1")
+        if min(self.coil_seed, self.sampling.noise_seed, self.solver.seed) < 0:
+            raise ConfigError("seeds must be nonnegative")
         try:
             self.sampling.validate()
             self.solver.validate()
@@ -59,40 +61,39 @@ SECTIONS = ("phantom", "coils", "sampling", "solver", "weights")
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated config from nested key/value data.
 
-    Each key is popped as it is read, so a key left over is unknown and
-    is rejected instead of silently ignored.
+    Only the keys the data set are converted and passed on, so every
+    default is the dataclasses' own.  Each key is popped as it is read,
+    and a key left over is unknown and rejected, not silently ignored.
     """
     raw = dict(raw)
     sections = [raw.pop(name, {}) for name in SECTIONS]
     if not all(isinstance(section, dict) for section in sections):
         raise ConfigError(f"config sections {SECTIONS} must be mappings")
     ph, co, sa, so, we = sections = [dict(section) for section in sections]
+
+    def take(section, key, convert=lambda value: value, name=None):
+        # {name: converted value} if the section sets ``key``, else {}
+        return {name or key: convert(section.pop(key))} if key in section else {}
+
     try:
         cfg = ExperimentConfig(
-            phantom=PhantomSpec(size=int(ph.pop("size", 190))),
-            coils=int(co.pop("count", 8)),
-            coil_seed=int(co.pop("seed", 1)),
+            phantom=PhantomSpec(**take(ph, "size", int)),
+            **take(co, "count", int, "coils"),
+            **take(co, "seed", int, "coil_seed"),
             sampling=SamplingSpec(
-                fraction=float(sa.pop("fraction", 0.25)),
-                turns=float(sa.pop("turns", 12.0)),
-                sigma=float(sa.pop("sigma", 0.05)),
-                noise_seed=int(sa.pop("seed", 0)),
-            ),
+                **take(sa, "fraction", float), **take(sa, "turns", float),
+                **take(sa, "sigma", float),
+                **take(sa, "seed", int, "noise_seed")),
             solver=SolverConfig(
-                delta=float(so.pop("delta", 1.0)),
-                theta=float(so.pop("theta", 0.99)),
-                max_iterations=int(so.pop("iterations", 1500)),
-                power_iter_tol=float(so.pop("power_iter_tol", 1e-7)),
-                power_iter_max=int(so.pop("power_iter_max", 100)),
-                seed=int(so.pop("seed", 0)),
-            ),
-            algorithm=str(so.pop("algorithm", "admm")),
-            lam=we.pop("lam", 0.0621),
-            alpha0=float(we.pop("alpha0", 0.062)),
-            alpha=we.pop("alpha", 0.9317),
-            output=str(raw.pop("output", "out")),
+                **take(so, "delta", float), **take(so, "theta", float),
+                **take(so, "iterations", int, "max_iterations"),
+                **take(so, "power_iter_tol", float),
+                **take(so, "power_iter_max", int), **take(so, "seed", int)),
+            **take(so, "algorithm", str),
+            **take(we, "lam"), **take(we, "alpha0", float), **take(we, "alpha"),
+            **take(raw, "output", str),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
     unknown = [str(key) for key in raw] + [
         f"{name}.{key}" for name, section in zip(SECTIONS, sections)

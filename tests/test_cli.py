@@ -1,12 +1,17 @@
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import padmm
 from padmm.admm import ConvergenceReport
 from padmm.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from padmm.dataset import (MAGIC_DATASET, MAGIC_RECORD, ContainerFormatError,
@@ -195,6 +200,22 @@ class TestValidationFailures:
         assert main(["reconstruct", "--config", str(config)]) == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ("phantom", "size"), ("coils", "count"), ("coils", "seed"),
+        ("sampling", "seed"), ("solver", "iterations"),
+        ("solver", "power_iter_max"), ("solver", "seed"),
+    ])
+    def test_integer_key_at_infinity(self, workspace, capsys, section, key):
+        # int(inf) raises OverflowError, which the reader once let through
+        config, out = workspace
+        raw = yaml.safe_load(config.read_text())
+        raw[section][key] = float("inf")
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            "error: malformed configuration: cannot convert float infinity")
+        assert not (out / "dataset.pad").exists()
+
     @pytest.mark.parametrize("section, key, value", [
         ("sampling", "sigma", float("nan")),
         ("sampling", "sigma", float("inf")),
@@ -203,6 +224,9 @@ class TestValidationFailures:
         ("sampling", "turns", 0.0),
         ("phantom", "size", 0),
         ("phantom", "size", -4),
+        ("coils", "seed", -1),
+        ("sampling", "seed", -1),
+        ("solver", "seed", -1),
     ])
     def test_out_of_range_simulation_value(self, workspace, capsys,
                                            section, key, value):
@@ -252,6 +276,19 @@ class TestValidationFailures:
             assert main([command, "--config", str(config)]) == EXIT_VALIDATION
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [
+        "reconstruct", "baseline", "eval", "equivalence"])
+    def test_dataset_with_empty_fields(self, workspace, capsys, command):
+        config, out = workspace
+        empty = np.zeros((0, 0))
+        Dataset(mask=empty, data=[empty] * 2, sigma=0.05, noise_seed=0,
+                coil_seed=1, fraction=0.25, phantom=empty,
+                coil_maps=[empty] * 2).save(out / "dataset.pad")
+        with pytest.raises(ContainerFormatError):
+            Dataset.load(out / "dataset.pad")
+        assert main([command, "--config", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("u, coil, loads", [
         pytest.param(np.ones((48, 48)), np.ones((48, 48)), True,
                      id="other-grid"),
@@ -259,6 +296,7 @@ class TestValidationFailures:
                      id="coil-shape"),
         pytest.param(np.full((32, 32), np.nan), np.ones((32, 32)), False,
                      id="nan-u"),
+        pytest.param(np.ones((0, 0)), np.ones((0, 0)), False, id="empty"),
     ])
     def test_malformed_record(self, workspace, capsys, u, coil, loads):
         config, out = workspace
@@ -277,6 +315,7 @@ class TestValidationFailures:
 
     @pytest.mark.parametrize("section, key", [
         ("solver", "iteration"), (None, "phantm"), ("weights", "tv_shrink"),
+        ("phantom", "sizes"), ("coils", "counts"), ("sampling", "fractoin"),
     ])
     def test_unknown_config_key(self, workspace, capsys, section, key):
         config, _ = workspace
@@ -312,7 +351,9 @@ def test_divergence_exits_3_and_eval_still_reports(workspace, capsys, recwarn,
     dataset.save(path)
     capsys.readouterr()
     assert main(["reconstruct", "--config", str(config)]) == EXIT_SOLVER
-    assert "non-finite iterate at iteration 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite iterate at iteration 1" in err
+    assert "warning:" not in err
     # the first step's residual overflows, so no step is accepted and
     # the record holds the flat start
     convergence = (out / "convergence.txt").read_text()
@@ -325,6 +366,7 @@ def test_divergence_exits_3_and_eval_still_reports(workspace, capsys, recwarn,
     assert float(values["psnr_zerofill_db"]) == -math.inf
     assert math.isfinite(float(values["psnr_recon_db"]))
     # the abort message is the one report of the divergence
+    assert "warning:" not in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -365,3 +407,43 @@ def test_solver_abort_exit_code(workspace, monkeypatch, capsys):
     monkeypatch.setattr("padmm.cli.reconstruct", fake_reconstruct)
     assert main(["reconstruct", "--config", str(config)]) == EXIT_SOLVER
     assert "solver aborted" in capsys.readouterr().err
+
+
+@pytest.fixture
+def capped(tmp_path):
+    """A dataset and a config whose power iterations run out of budget."""
+    path = tmp_path / "capped.yaml"
+    path.write_text(yaml.safe_dump({
+        "phantom": {"size": 16}, "coils": {"count": 2},
+        "sampling": {"turns": 3.0},
+        "solver": {"iterations": 3, "power_iter_max": 2},
+        "output": str(tmp_path / "out"),
+    }))
+    assert main(["simulate", "--config", str(path)]) == EXIT_OK
+    return path
+
+
+def test_warnings_reach_stderr_once_per_source(capped):
+    # a fresh interpreter, so the default warning filters apply
+    src = str(Path(padmm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "padmm.cli", "reconstruct",
+         "--config", str(capped)],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == EXIT_OK
+    assert re.fullmatch(
+        r"warning: power iteration did not converge in 2 iterations "
+        r"\(relative change \S+, tol 1\.00e-07\) \(seen 3 times\)\n",
+        proc.stderr), proc.stderr
+
+
+def test_warning_filters_set_before_the_cli_still_apply(capped):
+    # the suite turns RuntimeWarning into an error, and so must a caller
+    # of main() be able to
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="power iteration"):
+            main(["reconstruct", "--config", str(capped)])

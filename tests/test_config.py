@@ -1,0 +1,111 @@
+"""The config reader: every default lives on the dataclasses, once.
+
+The README's table of config keys is the oracle here: each row names a
+key, the ``ExperimentConfig`` field it sets and that field's default.
+"""
+
+import dataclasses
+import functools
+import re
+from pathlib import Path
+
+import pytest
+import yaml
+
+from padmm.admm import SolverConfig
+from padmm.pipeline import ExperimentConfig, config_from_dict, load_config
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def _key_table():
+    """``(key, field, default)`` rows of the README's config key table."""
+    section = README.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^\| `([\w.]+)` \| `([\w.]+)` \| `([^`]*)` \|",
+                      section, re.M)
+
+
+ROWS = _key_table()
+
+
+def _nested(key, value):
+    """The config data that sets one dotted ``key``."""
+    *section, name = key.split(".")
+    return {section[0]: {name: value}} if section else {name: value}
+
+
+def _fields(cfg):
+    """Every leaf setting of a config, by dotted field path."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update({f"{f.name}.{k}": v for k, v in _fields(value).items()})
+        else:
+            out[f.name] = value
+    return out
+
+
+def _load(tmp_path, raw):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return load_config(path)
+
+
+def _other(value):
+    """A valid setting different from ``value``."""
+    if isinstance(value, str):
+        return "pdhgm" if value == "admm" else value + "2"
+    return value + 1 if isinstance(value, int) else value / 2
+
+
+def test_empty_data_gives_the_dataclass_defaults():
+    assert config_from_dict({}) == ExperimentConfig()
+    assert ExperimentConfig().solver == SolverConfig()
+    assert ExperimentConfig().validate() == ExperimentConfig()
+
+
+def test_an_empty_file_gives_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    assert load_config(path) == ExperimentConfig()
+
+
+def test_the_table_lists_every_key_of_the_walkthrough():
+    block = README.split("```yaml\n", 1)[1].split("```", 1)[0]
+    keys = []
+    for section, values in yaml.safe_load(block).items():
+        if isinstance(values, dict):
+            keys += [f"{section}.{key}" for key in values]
+        else:
+            keys.append(section)
+    assert sorted(key for key, _, _ in ROWS) == sorted(keys)
+
+
+def test_the_table_covers_every_setting():
+    settable = {field for _, field, _ in ROWS}
+    # the two solver fields no config key sets
+    library_only = {"solver.tau2_override", "solver.warm_start_opnorm"}
+    assert settable | library_only == set(_fields(ExperimentConfig()))
+
+
+@pytest.mark.parametrize("key, field, default", ROWS,
+                         ids=[key for key, _, _ in ROWS])
+class TestEachKey:
+    def test_table_default_is_the_dataclass_default(self, key, field, default):
+        value = functools.reduce(getattr, field.split("."), ExperimentConfig())
+        assert value == yaml.safe_load(default)
+        assert type(value) is type(yaml.safe_load(default))
+
+    def test_setting_the_default_equals_the_empty_file(self, tmp_path, key,
+                                                       field, default):
+        cfg = _load(tmp_path, _nested(key, yaml.safe_load(default)))
+        assert cfg == ExperimentConfig()
+
+    def test_the_key_sets_its_field_alone(self, tmp_path, key, field,
+                                          default):
+        value = _other(yaml.safe_load(default))
+        changed = _fields(_load(tmp_path, _nested(key, value)))
+        defaults = _fields(ExperimentConfig())
+        assert changed[field] == value
+        assert {k for k in defaults if changed[k] != defaults[k]} == {field}

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from padmm.fields import dft2, grad
-from padmm.phantom import (DEFAULT_ELLIPSES, TISSUES, MaskFractionError,
-                           PhantomSpec, SamplingSpec, build_phantom,
-                           flair_signal, make_coil_maps, simulate_kspace,
-                           spiral_mask)
+from padmm.phantom import (DEFAULT_ELLIPSES, FRACTION_TOL, TISSUES,
+                           MaskFractionError, PhantomSpec, SamplingSpec,
+                           build_phantom, flair_signal, make_coil_maps,
+                           simulate_kspace, spiral_mask)
 
 
 class TestSignalModel:
@@ -47,7 +47,10 @@ class TestPhantom:
         assert img[-1, 0] == 0
 
     def test_empty_composite_is_zero(self):
-        img = build_phantom(PhantomSpec(size=16, ellipses=()))
+        # the one pixel of a 1x1 grid sits at (-1, -1), outside every
+        # ellipse, so nothing is painted and the peak stays 0
+        img = build_phantom(PhantomSpec(size=1))
+        assert img.shape == (1, 1)
         assert np.all(img == 0)
 
     def test_contains_multiple_tissue_levels(self):
@@ -101,7 +104,7 @@ class TestSpiralMask:
         spec = SamplingSpec(fraction=0.25, turns=12.0)
         mask = spiral_mask(spec, 190)
         assert set(np.unique(mask)) <= {0.0, 1.0}
-        assert abs(mask.mean() - 0.25) <= spec.fraction_tol
+        assert abs(mask.mean() - 0.25) <= FRACTION_TOL
         assert mask[0, 0] == 1.0  # DC bin after the shift to corner
 
     def test_full_sampling_shortcut(self):
@@ -117,10 +120,11 @@ class TestSpiralMask:
             spiral_mask(SamplingSpec(fraction=0.0), 32)
 
     def test_unreachable_fraction_raises(self):
-        # zero tolerance leaves no room for the discrete pixel counts
-        spec = SamplingSpec(fraction=0.25, turns=12.0, fraction_tol=0.0)
-        with pytest.raises(MaskFractionError):
-            spiral_mask(spec, 64)
+        # a 3x3 grid covers k/9 of k-space: no count lies within
+        # FRACTION_TOL of 0.3, so the bisection runs out
+        spec = SamplingSpec(fraction=0.3, turns=3.0)
+        with pytest.raises(MaskFractionError, match="search ended"):
+            spiral_mask(spec, 3)
 
 
 class TestKSpaceSimulation:
