@@ -59,6 +59,8 @@ class SolverConfig:
             raise ValueError("power_iter_tol must be nonnegative and finite")
         if self.power_iter_max < 1:
             raise ValueError("power_iter_max must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         return self
 
 

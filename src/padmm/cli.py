@@ -3,7 +3,8 @@
 Subcommands: simulate, reconstruct, baseline, eval, equivalence.  Each
 takes ``--config <file>`` and an ``--out`` override; ``simulate`` also
 takes ``--seed`` (noise seed), ``reconstruct`` and ``equivalence`` take
-``--iters``.  Exit status: 0 success, 2 validation failure, 3 solver
+``--iters``.  Each output file's name and writer are here, in ``_run``.
+Exit status: 0 success, 2 validation failure or unusable path, 3 solver
 abort.
 """
 
@@ -14,13 +15,16 @@ import os
 import sys
 import warnings
 from dataclasses import replace
+from functools import partial
 
 from .admm import SolverAborted
-from .dataset import ContainerFormatError, Dataset, ReconstructionRecord
-from .metrics import write_pgm, zero_fill_baseline
-from .pipeline import (ConfigError, dataset_path, evaluate, load_config,
-                       reconstruct, record_path, run_equivalence, simulate,
-                       write_metrics, write_outputs)
+from .dataset import (ContainerFormatError, Dataset, ReconstructionRecord,
+                      atomic_write)
+from .metrics import format_metrics, write_pgm, zero_fill_baseline
+from .mri import separable_problem
+from .pdhgm import equivalence_check
+from .pipeline import (ConfigError, evaluate, load_config, mri_problem,
+                       reconstruct, simulate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -66,13 +70,6 @@ def _apply_overrides(cfg, args):
     return cfg.validate()
 
 
-def _load_dataset(cfg, args) -> Dataset:
-    path = getattr(args, "data", None) or dataset_path(cfg.output)
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset file not found: {path}")
-    return Dataset.load(path)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # earlier filters (-W, pytest's) win; what passes is reported below
@@ -82,6 +79,10 @@ def main(argv=None) -> int:
             return _run(args)
         except (ConfigError, ContainerFormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except OSError as exc:  # on a path the flags or the config name
+            where = f"{exc.filename}: " if exc.filename else ""
+            print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
             return EXIT_VALIDATION
         except SolverAborted as exc:
             print(f"solver aborted: {exc}", file=sys.stderr)
@@ -98,36 +99,39 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     os.makedirs(cfg.output, exist_ok=True)
+    out = partial(os.path.join, cfg.output)
 
     if args.command == "simulate":
         dataset = simulate(cfg)
-        path = dataset_path(cfg.output)
-        dataset.save(path)
-        print(f"dataset written to {path} "
+        dataset.save(out("dataset.pad"))
+        print(f"dataset written to {out('dataset.pad')} "
               f"({dataset.n_coils} coils, fraction {dataset.fraction:.4f})")
         return EXIT_OK
 
-    dataset = _load_dataset(cfg, args)
+    dataset = Dataset.load(args.data or out("dataset.pad"))
     if args.command == "reconstruct":
         record, report = reconstruct(dataset, cfg)
-        write_outputs(cfg.output, record, report)
+        record.save(out("recon.pad"))
+        atomic_write(out("convergence.txt"), [report.to_text().encode()])
+        write_pgm(out("recon_u.pgm"), record.u)
+        for j, c in enumerate(record.coil_maps):
+            write_pgm(out(f"recon_coil_{j}.pgm"), c)
         if report.aborted:
             raise SolverAborted(report.abort_message)
-        print(f"reconstruction written to {record_path(cfg.output)} "
+        print(f"reconstruction written to {out('recon.pad')} "
               f"({report.iterations} iterations)")
     elif args.command == "baseline":
-        baseline = zero_fill_baseline(dataset.data)
-        write_pgm(os.path.join(cfg.output, "zerofill.pgm"), baseline)
-        print(f"zero-filling baseline written to {cfg.output}/zerofill.pgm")
+        write_pgm(out("zerofill.pgm"), zero_fill_baseline(dataset.data))
+        print(f"zero-filling baseline written to {out('zerofill.pgm')}")
     elif args.command == "eval":
-        rec_path = args.recon or record_path(cfg.output)
-        if not os.path.exists(rec_path):
-            raise ConfigError(f"record file not found: {rec_path}")
-        record = ReconstructionRecord.load(rec_path)
-        print(write_metrics(cfg.output, evaluate(record, dataset)), end="")
+        record = ReconstructionRecord.load(args.recon or out("recon.pad"))
+        text = format_metrics(evaluate(record, dataset))
+        atomic_write(out("metrics.txt"), [text.encode()])
+        print(text, end="")
     else:  # equivalence
         iters = args.iters if args.iters is not None else 50
-        deviation = run_equivalence(dataset, cfg, iterations=iters)
+        problem = separable_problem(mri_problem(dataset, cfg))
+        deviation = equivalence_check(problem, cfg.solver, iters)
         print(f"max iterate deviation over {iters} iterations: "
               f"{deviation:.3e}")
     return EXIT_OK

@@ -78,7 +78,8 @@ def _block_entry(value: str):
 def read_container(path, magic: str):
     """Read back a container; returns (meta, blocks) preserving order.
 
-    Every malformed header or payload raises :class:`ContainerFormatError`.
+    Every malformed header or payload, a repeated metadata key or block
+    name and bytes after the last block raise :class:`ContainerFormatError`.
     """
     with open(path, "rb") as fh:
         header_lines = []
@@ -98,11 +99,12 @@ def read_container(path, magic: str):
         meta, shapes = {}, {}
         for text in header_lines[1:]:
             key, _, value = text.partition(": ")
+            entries = meta
             if key == "block":
-                name, shape = _block_entry(value)
-                shapes[name] = shape
-            else:
-                meta[key] = value
+                (key, value), entries = _block_entry(value), shapes
+            if key in entries:
+                raise ContainerFormatError(f"repeated header entry {key!r}")
+            entries[key] = value
         size = os.fstat(fh.fileno()).st_size
         blocks = {}
         for name, shape in shapes.items():
@@ -112,17 +114,22 @@ def read_container(path, magic: str):
                 raise ContainerFormatError(f"truncated block {name!r}")
             raw = np.frombuffer(fh.read(nbytes), dtype="<c16")
             blocks[name] = raw.astype(np.complex128).reshape(shape)
+        if fh.read(1):
+            raise ContainerFormatError("bytes after the last block")
     return meta, blocks
 
 
 @contextmanager
-def _entries(path):
-    """Report a missing or malformed header entry as a format error."""
+def _entries(path, blocks):
+    """Report a missing or malformed header entry as a format error, and
+    a block left in ``blocks``, which the loader pops as it reads them."""
     try:
         yield
     except (KeyError, ValueError) as exc:
         raise ContainerFormatError(
             f"{path}: missing or malformed header entry: {exc}") from None
+    if blocks:
+        raise ContainerFormatError(f"{path}: unread blocks {list(blocks)}")
 
 
 def _check_fields(path, ref: str, fields):
@@ -180,15 +187,14 @@ class Dataset:
         """Read a dataset; at least one coil, every block shaped like the
         mask and finite, or :class:`ContainerFormatError`."""
         meta, blocks = read_container(path, MAGIC_DATASET)
-        with _entries(path):
+        with _entries(path, blocks):
             n = int(meta["n"])
-            mask = blocks["mask"].real.astype(np.float64)
-            data = [blocks[f"kspace_{j}"] for j in range(n)]
-            phantom = blocks.get("phantom")
+            mask = blocks.pop("mask").real.astype(np.float64)
+            data = [blocks.pop(f"kspace_{j}") for j in range(n)]
+            phantom = blocks.pop("phantom", None)
             coil_maps = None
-            if phantom is not None:
-                coil_maps = [blocks[f"coil_{j}"] for j in range(n)
-                             if f"coil_{j}" in blocks] or None
+            if phantom is not None and blocks:  # all coil maps or none
+                coil_maps = [blocks.pop(f"coil_{j}") for j in range(n)]
             dataset = cls(
                 mask=mask, data=data,
                 sigma=float(meta["sigma"]),
@@ -233,11 +239,11 @@ class ReconstructionRecord:
         """Read a record; every coil block shaped like ``u`` and every
         sample finite, or :class:`ContainerFormatError`."""
         meta, blocks = read_container(path, MAGIC_RECORD)
-        with _entries(path):
+        with _entries(path, blocks):
             n = int(meta["n"])
             record = cls(
-                u=blocks["u"],
-                coil_maps=[blocks[f"coil_{j}"] for j in range(n)],
+                u=blocks.pop("u"),
+                coil_maps=[blocks.pop(f"coil_{j}") for j in range(n)],
                 algorithm=meta["algorithm"],
                 iterations=int(meta["iterations"]),
                 final_residual=float(meta["final_residual"]),

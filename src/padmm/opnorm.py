@@ -18,12 +18,8 @@ class OpNormEstimate(NamedTuple):
     converged: bool
 
 
-def estimate_opnorm(
-    linmap: LinearMap,
-    start: BlockVector,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> OpNormEstimate:
+def estimate_opnorm(linmap: LinearMap, start: BlockVector, tol: float,
+                    max_iter: int) -> OpNormEstimate:
     """Spectral norm of a matrix-free map via power iteration on A* A.
 
     A* A is ``linmap.normal`` when the map supplies it, and

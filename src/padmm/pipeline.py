@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,10 +9,10 @@ import yaml
 
 from . import admm
 from .admm import SolverConfig
-from .dataset import Dataset, ReconstructionRecord, atomic_write
-from .metrics import format_metrics, psnr, write_pgm, zero_fill_baseline
+from .dataset import Dataset, ReconstructionRecord
+from .metrics import psnr, zero_fill_baseline
 from .mri import MriProblem, separable_problem
-from .pdhgm import PdhgmSolver, equivalence_check
+from .pdhgm import PdhgmSolver
 from .phantom import (MaskFractionError, PhantomSpec, SamplingSpec,
                       build_phantom, make_coil_maps, simulate_kspace,
                       spiral_mask)
@@ -45,7 +44,7 @@ class ExperimentConfig:
             raise ConfigError("phantom size must be at least 1")
         if self.coils < 1:
             raise ConfigError("coil count must be at least 1")
-        if min(self.coil_seed, self.sampling.noise_seed, self.solver.seed) < 0:
+        if min(self.coil_seed, self.sampling.noise_seed) < 0:
             raise ConfigError("seeds must be nonnegative")
         try:
             self.sampling.validate()
@@ -58,6 +57,33 @@ class ExperimentConfig:
 SECTIONS = ("phantom", "coils", "sampling", "solver", "weights")
 
 
+def _integer(value):
+    """A YAML integer, or a float of integral value (``int`` itself
+    rejects ``.inf`` and ``.nan``)."""
+    if isinstance(value, float) and int(value) == value:
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _real(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _reals(value):
+    """A number, or a list of numbers (one per coil)."""
+    return [_real(v) for v in value] if isinstance(value, list) else _real(value)
+
+
+def _string(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated config from nested key/value data.
 
@@ -66,49 +92,55 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     and a key left over is unknown and rejected, not silently ignored.
     """
     raw = dict(raw)
-    sections = [raw.pop(name, {}) for name in SECTIONS]
-    if not all(isinstance(section, dict) for section in sections):
+    sections = {name: raw.pop(name, {}) for name in SECTIONS}
+    if not all(isinstance(section, dict) for section in sections.values()):
         raise ConfigError(f"config sections {SECTIONS} must be mappings")
-    ph, co, sa, so, we = sections = [dict(section) for section in sections]
+    sections = {"": raw, **{k: dict(v) for k, v in sections.items()}}
 
-    def take(section, key, convert=lambda value: value, name=None):
-        # {name: converted value} if the section sets ``key``, else {}
-        return {name or key: convert(section.pop(key))} if key in section else {}
+    def take(where, convert, name=None):
+        # {name: converted value} if the data set the key ``where``, else {}
+        section, _, key = where.rpartition(".")
+        if key not in sections[section]:
+            return {}
+        try:
+            return {name or key: convert(sections[section].pop(key))}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"malformed configuration: {exc} ({where})") from exc
 
-    try:
-        cfg = ExperimentConfig(
-            phantom=PhantomSpec(**take(ph, "size", int)),
-            **take(co, "count", int, "coils"),
-            **take(co, "seed", int, "coil_seed"),
-            sampling=SamplingSpec(
-                **take(sa, "fraction", float), **take(sa, "turns", float),
-                **take(sa, "sigma", float),
-                **take(sa, "seed", int, "noise_seed")),
-            solver=SolverConfig(
-                **take(so, "delta", float), **take(so, "theta", float),
-                **take(so, "iterations", int, "max_iterations"),
-                **take(so, "power_iter_tol", float),
-                **take(so, "power_iter_max", int), **take(so, "seed", int)),
-            **take(so, "algorithm", str),
-            **take(we, "lam"), **take(we, "alpha0", float), **take(we, "alpha"),
-            **take(raw, "output", str),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed configuration: {exc}") from exc
-    unknown = [str(key) for key in raw] + [
-        f"{name}.{key}" for name, section in zip(SECTIONS, sections)
-        for key in section]
+    cfg = ExperimentConfig(
+        phantom=PhantomSpec(**take("phantom.size", _integer)),
+        **take("coils.count", _integer, "coils"),
+        **take("coils.seed", _integer, "coil_seed"),
+        sampling=SamplingSpec(
+            **take("sampling.fraction", _real), **take("sampling.turns", _real),
+            **take("sampling.sigma", _real),
+            **take("sampling.seed", _integer, "noise_seed")),
+        solver=SolverConfig(
+            **take("solver.delta", _real), **take("solver.theta", _real),
+            **take("solver.iterations", _integer, "max_iterations"),
+            **take("solver.power_iter_tol", _real),
+            **take("solver.power_iter_max", _integer),
+            **take("solver.seed", _integer)),
+        **take("solver.algorithm", _string),
+        **take("weights.lam", _reals), **take("weights.alpha0", _real),
+        **take("weights.alpha", _reals), **take("output", _string),
+    )
+    unknown = [f"{name}.{key}" if name else str(key)
+               for name, section in sections.items() for key in section]
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return cfg.validate()
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
+    """Read a YAML config file; an unreadable path raises ``OSError``."""
+    with open(path, "rb") as fh:  # bytes, so bad encodings are YAML errors
+        try:
             raw = yaml.safe_load(fh) or {}
-    except (OSError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except yaml.YAMLError as exc:
+            detail = " ".join(str(exc).split())  # one line, marks included
+            raise ConfigError(f"cannot read config {path}: {detail}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     return config_from_dict(raw)
@@ -197,36 +229,3 @@ def evaluate(record: ReconstructionRecord, dataset: Dataset) -> dict:
         "iterations": int(record.iterations),
         "wall_ms": float(record.wall_ms),
     }
-
-
-def run_equivalence(dataset: Dataset, cfg: ExperimentConfig,
-                    iterations: int) -> float:
-    """Max ADMM / dual-first deviation on this dataset's problem."""
-    problem = separable_problem(mri_problem(dataset, cfg))
-    return equivalence_check(problem, cfg.solver, iterations)
-
-
-# --- file layout helpers used by the CLI ---
-
-def dataset_path(out_dir) -> str:
-    return os.path.join(out_dir, "dataset.pad")
-
-
-def record_path(out_dir) -> str:
-    return os.path.join(out_dir, "recon.pad")
-
-
-def write_outputs(out_dir, record: ReconstructionRecord, report):
-    record.save(record_path(out_dir))
-    atomic_write(os.path.join(out_dir, "convergence.txt"),
-                 [report.to_text().encode()])
-    write_pgm(os.path.join(out_dir, "recon_u.pgm"), record.u)
-    for j, c in enumerate(record.coil_maps):
-        write_pgm(os.path.join(out_dir, f"recon_coil_{j}.pgm"), c)
-
-
-def write_metrics(out_dir, values: dict) -> str:
-    """Write ``<out_dir>/metrics.txt``; returns its text."""
-    text = format_metrics(values)
-    atomic_write(os.path.join(out_dir, "metrics.txt"), [text.encode()])
-    return text

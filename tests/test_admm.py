@@ -273,6 +273,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs).validate()
 
+    def test_negative_seed_rejected(self):
+        # before the run, not inside the first power iteration's RNG
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=-1).validate()
+
     def test_report_text_round_trip(self):
         problem, _, _ = scalar_consensus()
         _, report = run(problem, SolverConfig(max_iterations=3))

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -335,6 +336,133 @@ class TestValidationFailures:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(config), flag, "3"])
         assert exc.value.code == EXIT_VALIDATION
+
+
+def _files(root):
+    """Every file under ``root``, with its bytes."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def _drop_coil_0(raw):
+    # the blocks are mask, kspace_0, kspace_1, phantom, coil_0, coil_1
+    raw = _swap(b"block: coil_0 32 32\n", b"")(raw)
+    at = raw.index(b"end-header\n") + len(b"end-header\n") + 4 * 32 * 32 * 16
+    return raw[:at] + raw[at + 32 * 32 * 16:]
+
+
+def _extra_coil(raw):
+    raw = _swap(b"end-header\n", b"block: coil_7 32 32\nend-header\n")(raw)
+    return raw + bytes(32 * 32 * 16)
+
+
+class TestInputsOnceMisread:
+    """Inputs the CLI once accepted and misread, or met with a traceback:
+    each now exits 2 with one ``error:`` line and writes nothing."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("phantom.size", 32.9), ("solver.iterations", 2.9),
+        ("coils.count", True), ("coils.count", "3"), ("coils.seed", "1"),
+        ("sampling.seed", False), ("solver.power_iter_max", "50"),
+        ("solver.seed", 0.5), ("sampling.sigma", "0.05"),
+        ("sampling.fraction", True), ("solver.delta", True),
+        ("solver.theta", "0.9"), ("solver.power_iter_tol", False),
+        ("weights.alpha0", "0.06"), ("weights.lam", True),
+        ("weights.lam", [0.06, "0.06"]), ("weights.alpha", "0.9"),
+        ("weights.alpha", [True, 0.9]), ("solver.algorithm", True),
+        ("output", 5),
+    ])
+    def test_wrong_typed_config_value(self, workspace, capsys, monkeypatch,
+                                      key, value):
+        config, _ = workspace
+        monkeypatch.chdir(config.parent)  # where `output: 5` would write
+        raw = yaml.safe_load(config.read_text())
+        *section, name = key.split(".")
+        (raw[section[0]] if section else raw)[name] = value
+        config.write_text(yaml.safe_dump(raw))
+        before = _files(config.parent)
+        assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+        err = _one_error_line(capsys)
+        assert err.startswith("error: malformed configuration: ")
+        assert err.endswith(f" ({key})\n")
+        assert _files(config.parent) == before
+
+    @pytest.mark.parametrize("command, flag, kind", [
+        ("simulate", "--config", "dir"), ("simulate", "--out", "file"),
+        ("reconstruct", "--data", "dir"), ("eval", "--recon", "dir"),
+    ])
+    def test_unusable_path(self, workspace, capsys, command, flag, kind):
+        config, out = workspace
+        main(["simulate", "--config", str(config)])
+        bad = config.parent / kind
+        if kind == "dir":
+            bad.mkdir()
+        else:
+            bad.write_text("not a directory")
+        argv = [command, "--config", str(config), flag, str(bad)]
+        if flag == "--config":
+            argv = [command, flag, str(bad)]
+        before = _files(config.parent)
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        assert re.fullmatch(rf"error: {re.escape(str(bad))}: [^\n]+\n",
+                            _one_error_line(capsys))
+        assert _files(config.parent) == before
+
+    @pytest.mark.parametrize("old, new", [
+        pytest.param(b"admm", b"\xffdmm", id="not-utf8"),
+        pytest.param(b"phantom:", b"phantom: [", id="not-yaml"),
+    ])
+    def test_unreadable_config(self, workspace, capsys, old, new):
+        config, _ = workspace
+        config.write_bytes(_swap(old, new)(config.read_bytes()))
+        before = _files(config.parent)
+        assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+        assert _one_error_line(capsys).startswith("error: cannot read config")
+        assert _files(config.parent) == before
+
+    @pytest.mark.parametrize("name, corrupt", [
+        pytest.param("dataset.pad", lambda raw: raw + bytes(64),
+                     id="trailing-bytes"),
+        pytest.param("dataset.pad", _swap(b"block: kspace_0 32 32\n",
+                                          b"block: kspace_0 32 32\n" * 2),
+                     id="repeated-block"),
+        pytest.param("dataset.pad", _swap(b"\nn: 2\n", b"\nn: 2\nn: 2\n"),
+                     id="repeated-key"),
+        pytest.param("dataset.pad", _swap(b"\nn: 2\n", b"\nn: 1\n"),
+                     id="fewer-coils-than-blocks"),
+        pytest.param("dataset.pad", _drop_coil_0, id="some-coil-maps"),
+        pytest.param("recon.pad", _extra_coil, id="record-extra-block"),
+    ])
+    def test_container_with_unread_bytes(self, workspace, capsys, name,
+                                         corrupt):
+        config, out = workspace
+        main(["simulate", "--config", str(config)])
+        main(["reconstruct", "--config", str(config)])
+        path = out / name
+        path.write_bytes(corrupt(path.read_bytes()))
+        load, command = ((Dataset.load, "reconstruct") if name == "dataset.pad"
+                         else (ReconstructionRecord.load, "eval"))
+        with pytest.raises(ContainerFormatError):
+            load(path)
+        before = _files(config.parent)
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == EXIT_VALIDATION
+        _one_error_line(capsys)
+        assert _files(config.parent) == before
+
+
+def test_the_package_binds_only_its_version():
+    # names are imported from their modules; ``padmm`` re-exports none
+    tree = ast.parse(Path(padmm.__file__).read_text())
+    assert [type(node) for node in tree.body] == [ast.Expr, ast.Assign]
+    assert [t.id for t in tree.body[1].targets] == ["__version__"]
 
 
 @pytest.mark.parametrize("algorithm", ["admm", "pdhgm"])

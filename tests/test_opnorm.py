@@ -15,7 +15,7 @@ def scaled_identity(scale, shapes):
 def test_identity_norm_is_one():
     lm = dense_map(np.eye(7, dtype=complex))
     start = fresh_start(BlockVector.zeros(lm.domain_shapes), 0)
-    est = estimate_opnorm(lm, start)
+    est = estimate_opnorm(lm, start, tol=1e-10, max_iter=500)
     assert abs(est.value - 1.0) < 1e-12
     assert est.converged
 
@@ -23,7 +23,7 @@ def test_identity_norm_is_one():
 def test_diagonal_dominant_eigenvalue():
     lm = dense_map(np.diag([1.0, 2.0, 5.0]).astype(complex))
     start = fresh_start(BlockVector.zeros(lm.domain_shapes), 3)
-    est = estimate_opnorm(lm, start, tol=1e-12)
+    est = estimate_opnorm(lm, start, tol=1e-12, max_iter=500)
     assert abs(est.value - 5.0) < 1e-8
 
 
@@ -38,7 +38,8 @@ def test_gradient_norm_matches_dense_svd():
 def test_zero_operator():
     dom = ((4,),)
     start = fresh_start(BlockVector.zeros(dom), 1)
-    est = estimate_opnorm(scaled_identity(0.0, dom), start)
+    est = estimate_opnorm(scaled_identity(0.0, dom), start, tol=1e-10,
+                          max_iter=500)
     assert est.value == 0.0
     assert est.converged
 
@@ -46,7 +47,7 @@ def test_zero_operator():
 def test_zero_start_rejected():
     with pytest.raises(ValueError):
         estimate_opnorm(scaled_identity(1.0, ((3,),)),
-                        BlockVector.zeros(((3,),)))
+                        BlockVector.zeros(((3,),)), tol=1e-10, max_iter=500)
 
 
 def test_warm_start_converges_faster():
