@@ -37,7 +37,7 @@ from .opnorm import estimate_opnorm, fresh_start
 from .prox import ProxOp
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     delta: float = 1.0
     theta: float = 0.99
@@ -48,7 +48,7 @@ class SolverConfig:
     warm_start_opnorm: bool = True
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive and finite")
         if not 0.0 < self.theta < 1.0:
@@ -61,7 +61,6 @@ class SolverConfig:
             raise ValueError("power_iter_max must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        return self
 
 
 @dataclass
@@ -133,7 +132,7 @@ class Solver:
     """
 
     def __init__(self, cfg: SolverConfig):
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         self._warm = {}
 
     def step_size(self, linmap: LinearMap, key: str) -> float:

@@ -67,7 +67,7 @@ def _apply_overrides(cfg, args):
         cfg = replace(cfg, sampling=replace(cfg.sampling, noise_seed=seed))
     if iters is not None:
         cfg = replace(cfg, solver=replace(cfg.solver, max_iterations=iters))
-    return cfg.validate()
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -97,7 +97,10 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    try:  # each settings class rejects a value out of range as it is built
+        cfg = _apply_overrides(load_config(args.config), args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(cfg.output, exist_ok=True)
     out = partial(os.path.join, cfg.output)
 

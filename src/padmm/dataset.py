@@ -5,7 +5,9 @@ entry, one ``block: name H W`` line per field, terminated by
 ``end-header``), followed by the raw samples of each block in declared
 order as little-endian complex128 (``<c16``), row-major.  Writes are
 atomic (temp file + rename) and byte-identical for identical content,
-so round-trips can be compared with ``cmp``.
+so round-trips can be compared with ``cmp``.  :func:`read_container` checks
+the layout (one H x W for all blocks, exactly the declared payload) before
+it reads a block; each loader checks its header entries and finiteness.
 """
 
 from __future__ import annotations
@@ -78,8 +80,11 @@ def _block_entry(value: str):
 def read_container(path, magic: str):
     """Read back a container; returns (meta, blocks) preserving order.
 
-    Every malformed header or payload, a repeated metadata key or block
-    name and bytes after the last block raise :class:`ContainerFormatError`.
+    A malformed header, a repeated metadata key or block name, blocks of
+    more than one shape and a payload that is not exactly the declared
+    blocks raise :class:`ContainerFormatError`, the last two decided from
+    the header and the file size before any block is read.  Samples are
+    not checked: the codec round-trips any bits, NaN payloads included.
     """
     with open(path, "rb") as fh:
         header_lines = []
@@ -105,24 +110,28 @@ def read_container(path, magic: str):
             if key in entries:
                 raise ContainerFormatError(f"repeated header entry {key!r}")
             entries[key] = value
-        size = os.fstat(fh.fileno()).st_size
+        if len(set(shapes.values())) > 1:
+            raise ContainerFormatError(f"blocks of more than one shape: "
+                                       f"{sorted(set(shapes.values()))}")
+        declared = sum(16 * h * w for h, w in shapes.values())
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != declared:
+            raise ContainerFormatError(f"payload of {payload} bytes, but the "
+                                       f"blocks declare {declared}")
         blocks = {}
-        for name, shape in shapes.items():
-            nbytes = shape[0] * shape[1] * 16
-            # checked before reading, so an absurd shape allocates nothing
-            if nbytes > size - fh.tell():
-                raise ContainerFormatError(f"truncated block {name!r}")
-            raw = np.frombuffer(fh.read(nbytes), dtype="<c16")
-            blocks[name] = raw.astype(np.complex128).reshape(shape)
-        if fh.read(1):
-            raise ContainerFormatError("bytes after the last block")
+        for name, (h, w) in shapes.items():
+            raw = np.frombuffer(fh.read(16 * h * w), dtype="<c16")
+            blocks[name] = raw.astype(np.complex128).reshape(h, w)
     return meta, blocks
 
 
 @contextmanager
 def _entries(path, blocks):
-    """Report a missing or malformed header entry as a format error, and
-    a block left in ``blocks``, which the loader pops as it reads them."""
+    """Reject a non-finite sample, report a missing or malformed header
+    entry as a format error, and a block left in ``blocks``, which the
+    loader pops as it reads them."""
+    if not all(np.isfinite(block).all() for block in blocks.values()):
+        raise ContainerFormatError(f"{path}: non-finite samples")
     try:
         yield
     except (KeyError, ValueError) as exc:
@@ -130,18 +139,6 @@ def _entries(path, blocks):
             f"{path}: missing or malformed header entry: {exc}") from None
     if blocks:
         raise ContainerFormatError(f"{path}: unread blocks {list(blocks)}")
-
-
-def _check_fields(path, ref: str, fields):
-    """Reject a field not shaped like the first, ``ref``, or not finite."""
-    shape = fields[0].shape
-    for field in fields:
-        if field.shape != shape:
-            raise ContainerFormatError(
-                f"{path}: block shape {field.shape} differs from the "
-                f"{ref}'s {shape}")
-        if not np.isfinite(field).all():
-            raise ContainerFormatError(f"{path}: non-finite samples")
 
 
 @dataclass
@@ -184,8 +181,8 @@ class Dataset:
 
     @classmethod
     def load(cls, path) -> "Dataset":
-        """Read a dataset; at least one coil, every block shaped like the
-        mask and finite, or :class:`ContainerFormatError`."""
+        """Read a dataset; at least one coil and every sample finite, or
+        :class:`ContainerFormatError`."""
         meta, blocks = read_container(path, MAGIC_DATASET)
         with _entries(path, blocks):
             n = int(meta["n"])
@@ -205,8 +202,6 @@ class Dataset:
             )
         if not data:
             raise ContainerFormatError(f"{path}: dataset has no coils")
-        truth = [] if phantom is None else [phantom] + (coil_maps or [])
-        _check_fields(path, "mask", [mask] + data + truth)
         return dataset
 
 
@@ -236,11 +231,13 @@ class ReconstructionRecord:
 
     @classmethod
     def load(cls, path) -> "ReconstructionRecord":
-        """Read a record; every coil block shaped like ``u`` and every
-        sample finite, or :class:`ContainerFormatError`."""
+        """Read a record; at least one coil, a nonnegative iteration count
+        and every sample finite, or :class:`ContainerFormatError`."""
         meta, blocks = read_container(path, MAGIC_RECORD)
         with _entries(path, blocks):
             n = int(meta["n"])
+            if n < 1 or int(meta["iterations"]) < 0:
+                raise ValueError("no coils or negative iterations")
             record = cls(
                 u=blocks.pop("u"),
                 coil_maps=[blocks.pop(f"coil_{j}") for j in range(n)],
@@ -249,5 +246,4 @@ class ReconstructionRecord:
                 final_residual=float(meta["final_residual"]),
                 wall_ms=float(meta["wall_ms"]),
             )
-        _check_fields(path, "u", [record.u] + record.coil_maps)
         return record

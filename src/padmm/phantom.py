@@ -83,6 +83,10 @@ DEFAULT_ELLIPSES = (
 class PhantomSpec:
     size: int = 190
 
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError("phantom size must be at least 1")
+
 
 @dataclass(frozen=True)
 class SamplingSpec:
@@ -91,14 +95,15 @@ class SamplingSpec:
     sigma: float = 0.05
     noise_seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("sampling fraction must lie in (0, 1]")
         if not (math.isfinite(self.turns) and self.turns > 0):
             raise ValueError("spiral turns must be positive and finite")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be nonnegative and finite")
-        return self
+        if self.noise_seed < 0:
+            raise ValueError("seeds must be nonnegative")
 
 
 def _normalized_grid(size: int):
@@ -186,7 +191,6 @@ def spiral_mask(spec: SamplingSpec, size: int) -> np.ndarray:
     Line thickness is found by bisection so the covered fraction lands
     within ``FRACTION_TOL`` of the target; deterministic, seed-free.
     """
-    spec.validate()
     if spec.fraction >= 1.0:
         return np.ones((size, size), dtype=np.float64)
 

@@ -24,7 +24,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit status 2)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     phantom: PhantomSpec = field(default_factory=PhantomSpec)
     coils: int = 8
@@ -37,21 +37,18 @@ class ExperimentConfig:
     alpha: object = 0.9317    # a scalar or one value per coil
     output: str = "out"
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
-        if self.phantom.size < 1:
-            raise ConfigError("phantom size must be at least 1")
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.coils < 1:
-            raise ConfigError("coil count must be at least 1")
-        if min(self.coil_seed, self.sampling.noise_seed) < 0:
-            raise ConfigError("seeds must be nonnegative")
-        try:
-            self.sampling.validate()
-            self.solver.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return self
+            raise ValueError("coil count must be at least 1")
+        if self.coil_seed < 0:
+            raise ValueError("seeds must be nonnegative")
+        for key in ("lam", "alpha"):
+            weights = getattr(self, key)
+            if np.ndim(weights) and len(weights) != self.coils:
+                raise ValueError(f"weights.{key} lists {len(weights)} "
+                                 f"values for {self.coils} coils")
 
 
 SECTIONS = ("phantom", "coils", "sampling", "solver", "weights")
@@ -85,7 +82,7 @@ def _string(value):
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a validated config from nested key/value data.
+    """Build a config from nested key/value data.
 
     Only the keys the data set are converted and passed on, so every
     default is the dataclasses' own.  Each key is popped as it is read,
@@ -130,7 +127,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                for name, section in sections.items() for key in section]
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return cfg.validate()
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

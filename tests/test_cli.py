@@ -228,6 +228,8 @@ class TestValidationFailures:
         ("coils", "seed", -1),
         ("sampling", "seed", -1),
         ("solver", "seed", -1),
+        ("weights", "lam", [0.0621] * 3),  # the config sets two coils
+        ("weights", "alpha", []),
     ])
     def test_out_of_range_simulation_value(self, workspace, capsys,
                                            section, key, value):
@@ -454,6 +456,31 @@ class TestInputsOnceMisread:
         before = _files(config.parent)
         capsys.readouterr()
         assert main([command, "--config", str(config)]) == EXIT_VALIDATION
+        _one_error_line(capsys)
+        assert _files(config.parent) == before
+
+    @pytest.mark.parametrize("coils, old, new", [
+        pytest.param(0, b"\nn: 0\n", b"\nn: 0\n", id="no-coils"),
+        pytest.param(0, b"\nn: 0\n", b"\nn: -1\n", id="negative-coils"),
+        pytest.param(2, b"\niterations: 1\n", b"\niterations: -7\n",
+                     id="negative-iterations"),
+    ])
+    def test_record_header_no_run_writes(self, workspace, capsys, coils, old,
+                                         new):
+        config, out = workspace
+        main(["simulate", "--config", str(config)])
+        path = out / "other.pad"
+        ReconstructionRecord(u=np.ones((32, 32)),
+                             coil_maps=[np.ones((32, 32))] * coils,
+                             algorithm="admm", iterations=1,
+                             final_residual=1.0, wall_ms=1.0).save(path)
+        path.write_bytes(_swap(old, new)(path.read_bytes()))
+        with pytest.raises(ContainerFormatError):
+            ReconstructionRecord.load(path)
+        before = _files(config.parent)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config),
+                     "--recon", str(path)]) == EXIT_VALIDATION
         _one_error_line(capsys)
         assert _files(config.parent) == before
 

@@ -4,6 +4,7 @@ The README's table of config keys is the oracle here: each row names a
 key, the ``ExperimentConfig`` field it sets and that field's default.
 """
 
+import ast
 import dataclasses
 import functools
 import re
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+import padmm
 from padmm.admm import SolverConfig
+from padmm.phantom import PhantomSpec, SamplingSpec
 from padmm.pipeline import ExperimentConfig, config_from_dict, load_config
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
@@ -62,7 +65,7 @@ def _other(value):
 def test_empty_data_gives_the_dataclass_defaults():
     assert config_from_dict({}) == ExperimentConfig()
     assert ExperimentConfig().solver == SolverConfig()
-    assert ExperimentConfig().validate() == ExperimentConfig()
+    assert dataclasses.replace(ExperimentConfig()) == ExperimentConfig()
 
 
 def test_an_empty_file_gives_the_dataclass_defaults(tmp_path):
@@ -109,3 +112,55 @@ class TestEachKey:
         defaults = _fields(ExperimentConfig())
         assert changed[field] == value
         assert {k for k in defaults if changed[k] != defaults[k]} == {field}
+
+
+SETTINGS = (PhantomSpec, SamplingSpec, SolverConfig, ExperimentConfig)
+
+
+class TestValidByConstruction:
+    """Each settings class checks its own fields when it is built, so a
+    value out of range cannot reach a run, whoever builds the settings."""
+
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda c: dataclasses.replace(c, algorithm="ADMM"),
+                     "algorithm", id="algorithm"),
+        pytest.param(lambda c: dataclasses.replace(c, coils=0), "coil",
+                     id="coils"),
+        pytest.param(lambda c: dataclasses.replace(c.solver, delta=-1.0),
+                     "delta", id="solver-delta"),
+        pytest.param(lambda c: dataclasses.replace(c.phantom, size=0),
+                     "size", id="phantom-size"),
+        pytest.param(lambda c: dataclasses.replace(c.sampling, noise_seed=-1),
+                     "seed", id="noise-seed"),
+        pytest.param(lambda c: dataclasses.replace(c, coils=2,
+                                                   lam=[0.1] * 3),
+                     "weights.lam", id="lam-per-coil"),
+        pytest.param(lambda c: dataclasses.replace(c, coils=2, alpha=[]),
+                     "weights.alpha", id="alpha-per-coil"),
+    ])
+    def test_an_out_of_range_value_raises_when_built(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build(ExperimentConfig())
+
+    def test_per_coil_weights_of_the_coil_count_are_kept(self):
+        cfg = ExperimentConfig(coils=2, lam=[0.1, 0.2], alpha=[0.9, 0.8])
+        assert (cfg.lam, cfg.alpha) == ([0.1, 0.2], [0.9, 0.8])
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(), ExperimentConfig()],
+                             ids=["SolverConfig", "ExperimentConfig"])
+    def test_fields_cannot_be_assigned(self, cfg):
+        for f in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+
+
+def test_no_settings_check_a_caller_can_skip():
+    # checks run in ``__post_init__`` of frozen classes, so no
+    # ``validate`` method exists to be forgotten, and none is called
+    for path in sorted(Path(padmm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, k, None) for k in ("name", "attr", "id")}
+            assert "validate" not in names, f"{path.name}:{node.lineno}"
+    for cls in SETTINGS:
+        assert cls.__dataclass_params__.frozen, cls.__name__
+        assert "__post_init__" in vars(cls), cls.__name__

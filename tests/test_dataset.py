@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -95,6 +97,29 @@ class TestContainer:
         path.write_bytes(b"PADMM-DATASET 1\nn: 1\n")
         with pytest.raises(ContainerFormatError):
             read_container(path, MAGIC_DATASET)
+
+    def test_blocks_of_two_shapes_rejected(self, tmp_path):
+        # 2x3 and 3x2 hold the same bytes, so only the shape rule sees it
+        path = tmp_path / "c.pad"
+        write_container(path, MAGIC_DATASET, {},
+                        {"a": np.ones((2, 3)), "b": np.ones((3, 2))})
+        with pytest.raises(ContainerFormatError, match="more than one shape"):
+            read_container(path, MAGIC_DATASET)
+
+    def test_payload_length_checked_before_any_block_is_read(self,
+                                                              tmp_path):
+        path = tmp_path / "c.pad"
+        block = np.ones((190, 190), dtype=complex)  # 577 600 bytes
+        write_container(path, MAGIC_DATASET, {}, {"a": block, "b": block})
+        path.write_bytes(path.read_bytes() + b"\0")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerFormatError, match="payload"):
+                read_container(path, MAGIC_DATASET)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes
 
     def test_non_2d_block_rejected(self, tmp_path):
         with pytest.raises(ContainerFormatError):
