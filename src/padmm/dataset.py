@@ -181,19 +181,19 @@ class Dataset:
 
     @classmethod
     def load(cls, path) -> "Dataset":
-        """Read a dataset; at least one coil and every sample finite, or
-        :class:`ContainerFormatError`."""
+        """Read a dataset; at least one coil, a real mask and every sample
+        finite, or :class:`ContainerFormatError`."""
         meta, blocks = read_container(path, MAGIC_DATASET)
         with _entries(path, blocks):
             n = int(meta["n"])
-            mask = blocks.pop("mask").real.astype(np.float64)
+            mask = blocks.pop("mask")
             data = [blocks.pop(f"kspace_{j}") for j in range(n)]
             phantom = blocks.pop("phantom", None)
             coil_maps = None
             if phantom is not None and blocks:  # all coil maps or none
                 coil_maps = [blocks.pop(f"coil_{j}") for j in range(n)]
             dataset = cls(
-                mask=mask, data=data,
+                mask=mask.real.astype(np.float64), data=data,
                 sigma=float(meta["sigma"]),
                 noise_seed=int(meta["noise_seed"]),
                 coil_seed=int(meta["coil_seed"]),
@@ -202,6 +202,8 @@ class Dataset:
             )
         if not data:
             raise ContainerFormatError(f"{path}: dataset has no coils")
+        if mask.imag.any():
+            raise ContainerFormatError(f"{path}: the mask block is not real")
         return dataset
 
 

@@ -14,7 +14,6 @@ C the bilinear coil operator (u_0 c_1, ..., u_0 c_n); its v-Jacobian is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,13 +111,28 @@ class CoilGradOperator(SeparableOperator):
                          codomain_shapes=self.v_shapes, normal=normal)
 
 
+def coil_weights(lam, alpha0, alpha, n: int):
+    """``[lam, alpha0, alpha]`` as floats, ``lam`` and ``alpha`` broadcast
+    from a scalar to n coils.  A list of another length, or a weight that
+    is not finite and nonnegative, raises ``ValueError`` naming its key."""
+    def checked(key, value, shape):
+        if np.ndim(value) and np.shape(value) != shape:
+            raise ValueError(f"weights.{key} lists {len(value)} values "
+                             f"for {n} coils")
+        values = np.array(np.broadcast_to(value, shape), dtype=float)
+        if not np.all((values >= 0) & (values < np.inf)):
+            raise ValueError(f"weights.{key} must be finite and nonnegative")
+        return values.tolist()
+    return [checked("lam", lam, (n,)), checked("alpha0", alpha0, ()),
+            checked("alpha", alpha, (n,))]
+
+
 @dataclass
 class MriProblem:
-    """Data and weights of one reconstruction instance.
-
-    ``lam`` and ``alpha`` hold one nonnegative weight per coil; the
-    reported paper-style weights are used literally, without the
-    sum-to-one rescaling (the published values do not satisfy it).
+    """Data and weights of one reconstruction instance, checked once here
+    for the resolvents: weights by :func:`coil_weights`, a binary mask S
+    (as float64), and per-coil k-space data of S's shape that vanishes off
+    S.  Weights are used literally, without the paper's sum-to-one rule.
     """
 
     mask: np.ndarray
@@ -132,13 +146,8 @@ class MriProblem:
         if not np.all((self.mask == 0) | (self.mask == 1)):
             raise ValueError("mask must be binary")
         self.data = [np.asarray(f, dtype=np.complex128) for f in self.data]
-        n = len(self.data)
-        self.lam = [float(x) for x in np.broadcast_to(self.lam, (n,))]
-        self.alpha = [float(x) for x in np.broadcast_to(self.alpha, (n,))]
-        self.alpha0 = float(self.alpha0)
-        if not all(math.isfinite(x) and x >= 0
-                   for x in self.lam + self.alpha + [self.alpha0]):
-            raise ValueError("weights must be finite and nonnegative")
+        self.lam, self.alpha0, self.alpha = coil_weights(
+            self.lam, self.alpha0, self.alpha, len(self.data))
         for f in self.data:
             if f.shape != self.mask.shape:
                 raise ValueError("k-space data shape mismatch")

@@ -11,7 +11,7 @@ from . import admm
 from .admm import SolverConfig
 from .dataset import Dataset, ReconstructionRecord
 from .metrics import psnr, zero_fill_baseline
-from .mri import MriProblem, separable_problem
+from .mri import MriProblem, coil_weights, separable_problem
 from .pdhgm import PdhgmSolver
 from .phantom import (MaskFractionError, PhantomSpec, SamplingSpec,
                       build_phantom, make_coil_maps, simulate_kspace,
@@ -44,11 +44,7 @@ class ExperimentConfig:
             raise ValueError("coil count must be at least 1")
         if self.coil_seed < 0:
             raise ValueError("seeds must be nonnegative")
-        for key in ("lam", "alpha"):
-            weights = getattr(self, key)
-            if np.ndim(weights) and len(weights) != self.coils:
-                raise ValueError(f"weights.{key} lists {len(weights)} "
-                                 f"values for {self.coils} coils")
+        coil_weights(self.lam, self.alpha0, self.alpha, self.coils)
 
 
 SECTIONS = ("phantom", "coils", "sampling", "solver", "weights")
@@ -162,9 +158,12 @@ def simulate(cfg: ExperimentConfig) -> Dataset:
             f"{cfg.sampling.turns} spiral turns on a {cfg.phantom.size}-pixel "
             f"grid: {exc}") from exc
     npix = float(phantom.size)
-    data = simulate_kspace(phantom, coil_maps, mask,
-                           cfg.sampling.sigma / np.sqrt(npix),
-                           cfg.sampling.noise_seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        data = simulate_kspace(phantom, coil_maps, mask,
+                               cfg.sampling.sigma / np.sqrt(npix),
+                               cfg.sampling.noise_seed)
+    if not all(np.isfinite(f).all() for f in data):
+        raise ConfigError(f"sampling.sigma {cfg.sampling.sigma!r} overflows")
     return Dataset(
         mask=mask, data=data, sigma=cfg.sampling.sigma,
         noise_seed=cfg.sampling.noise_seed, coil_seed=cfg.coil_seed,
@@ -188,7 +187,7 @@ def mri_problem(dataset: Dataset, cfg: ExperimentConfig) -> MriProblem:
             mask=dataset.mask, data=dataset.data,
             lam=lam, alpha0=cfg.alpha0, alpha=cfg.alpha,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid problem: {exc}") from exc
 
 

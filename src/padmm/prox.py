@@ -2,7 +2,9 @@
 
 Each prox solves ``argmin_x 1/2 ||x - w||^2 + tau * E(x)``.  The
 ``penalty`` method returns ``E(x)`` so tests can verify prox outputs
-against the defining minimization directly.
+against the defining minimization directly.  Constructors and
+``conjugate_apply`` check no argument; the caller does (for MRI,
+:class:`padmm.mri.MriProblem`), and values are kept, not copied.
 
 Covered penalties:
 
@@ -52,20 +54,13 @@ class FourierFidelityProx(ProxOp):
     """E(x) = lam/2 ||S F x - f||^2 for a binary k-space mask S.
 
     The minimizer is diagonal in k-space: F x = (F w + tau lam f) /
-    (1 + tau lam S), using that f vanishes off the mask.
+    (1 + tau lam S), using that f vanishes off the mask (the caller's check).
     """
 
     def __init__(self, lam: float, mask: np.ndarray, data: np.ndarray):
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
-        mask = np.asarray(mask)
-        if not np.all((mask == 0) | (mask == 1)):
-            raise ValueError("mask must be binary")
-        if mask.shape != np.shape(data):
-            raise ValueError("mask/data shape mismatch")
-        self.lam = float(lam)
-        self.mask = mask.astype(np.float64)
-        self.data = np.asarray(data, dtype=np.complex128)
+        self.lam = lam
+        self.mask = mask
+        self.data = data
 
     def apply(self, w, tau):
         if w.shape != self.mask.shape:
@@ -82,13 +77,11 @@ class GroupShrinkProx(ProxOp):
     """Isotropic-TV resolvent: per-pixel shrink of the gradient 2-vector.
 
     E(g) = alpha * sum_pixels |(dx, dy)|_2.  Pixels with magnitude below
-    alpha*tau map to zero (0/0 resolved to 0).
+    alpha*tau map to zero (0/0 resolved to 0).  The caller checks alpha.
     """
 
     def __init__(self, alpha: float):
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        self.alpha = float(alpha)
+        self.alpha = alpha
 
     def apply(self, g, tau):
         t = tau * self.alpha
@@ -102,12 +95,10 @@ class GroupShrinkProx(ProxOp):
 
 
 class GlobalShrinkProx(ProxOp):
-    """Resolvent of the global 2-norm penalty E(g) = alpha ||g||_2."""
+    """Resolvent of E(g) = alpha ||g||_2; the caller checks alpha."""
 
     def __init__(self, alpha: float):
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        self.alpha = float(alpha)
+        self.alpha = alpha
 
     def apply(self, g, tau):
         t = tau * self.alpha
@@ -140,10 +131,8 @@ def conjugate_apply(prox: ProxOp, w, delta: float):
 
     Obtained from Moreau's identity
     b = (I + (1/delta) dE)^{-1}(b) + (1/delta)(I + delta dE*)^{-1}(delta b)
-    with w = delta * b, so the caller passes the dual-scaled point.
+    with w = delta * b; the caller passes the dual-scaled point, delta > 0.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     p = prox.apply((1.0 / delta) * w, 1.0 / delta)
     # w - delta p, written into the resolvent's output
     for wi, pi in zip(_blocks(w), _blocks(p)):

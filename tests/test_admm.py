@@ -271,12 +271,12 @@ class TestConfigValidation:
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            SolverConfig(**kwargs).validate()
+            SolverConfig(**kwargs)
 
     def test_negative_seed_rejected(self):
         # before the run, not inside the first power iteration's RNG
         with pytest.raises(ValueError, match="seed"):
-            SolverConfig(seed=-1).validate()
+            SolverConfig(seed=-1)
 
     def test_report_text_round_trip(self):
         problem, _, _ = scalar_consensus()

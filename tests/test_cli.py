@@ -158,6 +158,12 @@ def _nan_kspace(raw):
     return raw[:at] + struct.pack("<d", math.nan) + raw[at + 8:]
 
 
+def _imaginary_mask(raw):
+    # the mask block comes first; its first sample's imaginary part
+    at = raw.index(b"end-header\n") + len(b"end-header\n") + 8
+    return raw[:at] + struct.pack("<d", 1.0) + raw[at + 8:]
+
+
 class TestValidationFailures:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config",
@@ -230,6 +236,10 @@ class TestValidationFailures:
         ("solver", "seed", -1),
         ("weights", "lam", [0.0621] * 3),  # the config sets two coils
         ("weights", "alpha", []),
+        ("weights", "lam", float("nan")),
+        ("weights", "alpha", -1.0),
+        ("weights", "alpha0", float("inf")),
+        ("weights", "lam", [0.0621, -0.0621]),
     ])
     def test_out_of_range_simulation_value(self, workspace, capsys,
                                            section, key, value):
@@ -266,6 +276,7 @@ class TestValidationFailures:
         pytest.param(_swap(b"block: kspace_0 32 32", b"block: kspace_0 16 32"),
                      id="kspace-shape"),
         pytest.param(_nan_kspace, id="nan-kspace"),
+        pytest.param(_imaginary_mask, id="imaginary-mask"),
     ])
     def test_malformed_dataset_header(self, workspace, capsys, corrupt):
         config, out = workspace
@@ -393,6 +404,17 @@ class TestInputsOnceMisread:
         err = _one_error_line(capsys)
         assert err.startswith("error: malformed configuration: ")
         assert err.endswith(f" ({key})\n")
+        assert _files(config.parent) == before
+
+    def test_noise_that_overflows_the_k_space(self, workspace, capsys):
+        config, out = workspace
+        raw = yaml.safe_load(config.read_text())
+        raw["phantom"]["size"], raw["coils"]["count"] = 2, 8
+        raw["sampling"].update(fraction=1.0, sigma=1.7e308)
+        config.write_text(yaml.safe_dump(raw))
+        before = _files(config.parent)
+        assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+        assert _one_error_line(capsys).startswith("error: sampling.sigma ")
         assert _files(config.parent) == before
 
     @pytest.mark.parametrize("command, flag, kind", [

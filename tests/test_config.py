@@ -137,6 +137,15 @@ class TestValidByConstruction:
                      "weights.lam", id="lam-per-coil"),
         pytest.param(lambda c: dataclasses.replace(c, coils=2, alpha=[]),
                      "weights.alpha", id="alpha-per-coil"),
+        pytest.param(lambda c: dataclasses.replace(c, lam=float("nan")),
+                     "weights.lam must be finite", id="lam-nan"),
+        pytest.param(lambda c: dataclasses.replace(c, alpha=-1.0),
+                     "weights.alpha must be finite", id="alpha-negative"),
+        pytest.param(lambda c: dataclasses.replace(c, alpha0=float("inf")),
+                     "weights.alpha0 must be finite", id="alpha0-inf"),
+        pytest.param(lambda c: dataclasses.replace(c, coils=2,
+                                                   lam=[0.1, -0.1]),
+                     "weights.lam must be finite", id="lam-per-coil-negative"),
     ])
     def test_an_out_of_range_value_raises_when_built(self, build, match):
         with pytest.raises(ValueError, match=match):

@@ -13,6 +13,7 @@ from padmm.fields import grad
 from padmm.mri import (CoilGradOperator, MriProblem, assemble_prox_j,
                        initial_unknowns, separable_problem)
 from padmm.opnorm import estimate_opnorm
+from padmm.pipeline import ExperimentConfig
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx)
 
@@ -215,6 +216,21 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="finite"):
             MriProblem(mask=p.mask, data=p.data, **{**weights, name: value})
 
+    @pytest.mark.parametrize("bad", [
+        {"lam": float("nan")}, {"alpha": -1.0}, {"alpha0": float("inf")},
+        {"lam": [0.5, -0.5]}, {"alpha": [0.9] * 3},
+    ])
+    def test_config_and_problem_reject_weights_alike(self, bad):
+        # one rule, so `simulate` already rejects what `reconstruct` would
+        p = small_problem(n_coils=2)
+        weights = {"lam": 0.5, "alpha0": 0.1, "alpha": 0.9, **bad}
+        with pytest.raises(ValueError) as config:
+            ExperimentConfig(coils=2, **weights)
+        with pytest.raises(ValueError) as problem:
+            MriProblem(mask=p.mask, data=p.data, **weights)
+        assert str(config.value) == str(problem.value)
+        assert str(problem.value).startswith("weights.")
+
 
 class TestAssembly:
     def test_constraint_feasible_at_lifted_point(self):
@@ -233,6 +249,14 @@ class TestAssembly:
         assert kinds == [FourierFidelityProx, FourierFidelityProx,
                          GroupShrinkProx, GlobalShrinkProx, GlobalShrinkProx]
         assert prox.children[2].alpha == p.alpha0
+
+    def test_fidelity_resolvents_keep_the_problem_mask(self):
+        # no per-coil copy: each fidelity resolvent holds the checked mask
+        p = small_problem(n_coils=3)
+        fidelity = [c for c in separable_problem(p).prox_j.children
+                    if isinstance(c, FourierFidelityProx)]
+        assert len(fidelity) == 3
+        assert all(np.shares_memory(c.mask, p.mask) for c in fidelity)
 
     def test_initial_unknowns_all_ones(self):
         p = small_problem(n_coils=3)

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import padmm
 from padmm.blocks import BlockVector, random_like
 from padmm.fields import dft2, idft2
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
@@ -77,10 +81,6 @@ class TestFourierFidelity:
         assert info == 0
         out = prox.apply(w, tau)
         assert np.linalg.norm(out.ravel() - sol) <= 1e-8 * np.linalg.norm(sol)
-
-    def test_rejects_nonbinary_mask(self):
-        with pytest.raises(ValueError):
-            FourierFidelityProx(1.0, 0.5 * np.ones((2, 2)), np.zeros((2, 2)))
 
 
 class TestGroupShrink:
@@ -220,3 +220,30 @@ class TestProxProperties:
                 d /= np.linalg.norm(d.ravel())
                 cand = x + eta * d
                 assert prox_objective(prox, cand, w, tau) >= base - 1e-12
+
+
+def test_no_instance_rule_in_the_resolvents():
+    # MriProblem checks the weights, mask and data, and SolverConfig checks
+    # delta, so no resolvent constructor and not conjugate_apply checks
+    # them again: none of them raises
+    tree = [node for path in Path(padmm.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))]
+    classes = [n for n in tree if isinstance(n, ast.ClassDef)]
+    proxes = {"ProxOp"}
+    while True:  # every class that derives from ProxOp, in any module
+        found = {c.name for c in classes
+                 if {getattr(b, "id", getattr(b, "attr", None))
+                     for b in c.bases} & proxes}
+        if found <= proxes:
+            break
+        proxes |= found
+    checked = {f"{c.name}.__init__": f for c in classes if c.name in proxes
+               for f in c.body
+               if isinstance(f, ast.FunctionDef) and f.name == "__init__"}
+    checked.update({n.name: n for n in tree if isinstance(n, ast.FunctionDef)
+                    and n.name == "conjugate_apply"})
+    assert {"FourierFidelityProx.__init__", "GroupShrinkProx.__init__",
+            "GlobalShrinkProx.__init__", "conjugate_apply"} <= set(checked)
+    for name, function in checked.items():
+        assert not any(isinstance(n, ast.Raise) for n in ast.walk(function)), \
+            name
