@@ -11,6 +11,7 @@ abort.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import warnings
@@ -101,7 +102,7 @@ def _run(args) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    os.makedirs(cfg.output, exist_ok=True)
+    # atomic_write makes the directory, so a failed command makes none
     out = partial(os.path.join, cfg.output)
 
     if args.command == "simulate":
@@ -113,6 +114,9 @@ def _run(args) -> int:
 
     dataset = Dataset.load(args.data or out("dataset.pad"))
     if args.command == "reconstruct":
+        if os.path.isfile(cfg.output):  # found before the solve, not after
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory",
+                                     cfg.output)
         record, report = reconstruct(dataset, cfg)
         record.save(out("recon.pad"))
         atomic_write(out("convergence.txt"), [report.to_text().encode()])

@@ -12,12 +12,13 @@ it reads a block; each loader checks its header entries and finiteness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -50,8 +51,8 @@ def write_container(path, magic: str, meta: dict, blocks: dict):
     """Atomically write metadata and 2D complex blocks to ``path``."""
     lines = [magic]
     for key, value in meta.items():
-        if any(ch in str(key) for ch in ":\n"):
-            raise ContainerFormatError(f"bad metadata key {key!r}")
+        if any(ch in str(key) for ch in ":\n") or "\n" in str(value):
+            raise ContainerFormatError(f"bad metadata {key!r}: {value!r}")
         lines.append(f"{key}: {value}")
     for name, arr in blocks.items():
         arr = np.asarray(arr)
@@ -141,6 +142,28 @@ def _entries(path, blocks):
         raise ContainerFormatError(f"{path}: unread blocks {list(blocks)}")
 
 
+@functools.cache
+def _scalar_fields(cls):
+    """``(name, type)`` of each ``int``, ``float`` and ``str`` field of the
+    record class ``cls``, in field order: the header entries after ``n``."""
+    return [(name, kind) for name, kind in get_type_hints(cls).items()
+            if kind in (int, float, str)]
+
+
+def _header(record, n: int) -> dict:
+    """``n``, then each scalar field (a float's ``str`` is its ``repr``)."""
+    return {"n": n, **{name: kind(getattr(record, name))
+                       for name, kind in _scalar_fields(type(record))}}
+
+
+def _read_header(cls, meta: dict):
+    """``(n, fields)`` from the entries :func:`_header` wrote; n >= 1."""
+    n = int(meta["n"])
+    if n < 1:
+        raise ValueError(f"n: {n}, but a file holds at least one coil")
+    return n, {name: kind(meta[name]) for name, kind in _scalar_fields(cls)}
+
+
 @dataclass
 class Dataset:
     """One simulated acquisition with optional ground truth."""
@@ -163,13 +186,6 @@ class Dataset:
         return self.mask.shape
 
     def save(self, path):
-        meta = {
-            "n": self.n_coils,
-            "sigma": repr(float(self.sigma)),
-            "noise_seed": int(self.noise_seed),
-            "coil_seed": int(self.coil_seed),
-            "fraction": repr(float(self.fraction)),
-        }
         blocks = {"mask": self.mask}
         for j, f in enumerate(self.data):
             blocks[f"kspace_{j}"] = f
@@ -177,7 +193,8 @@ class Dataset:
             blocks["phantom"] = self.phantom
             for j, c in enumerate(self.coil_maps or []):
                 blocks[f"coil_{j}"] = c
-        write_container(path, MAGIC_DATASET, meta, blocks)
+        write_container(path, MAGIC_DATASET, _header(self, self.n_coils),
+                        blocks)
 
     @classmethod
     def load(cls, path) -> "Dataset":
@@ -185,26 +202,17 @@ class Dataset:
         finite, or :class:`ContainerFormatError`."""
         meta, blocks = read_container(path, MAGIC_DATASET)
         with _entries(path, blocks):
-            n = int(meta["n"])
+            n, scalars = _read_header(cls, meta)
             mask = blocks.pop("mask")
             data = [blocks.pop(f"kspace_{j}") for j in range(n)]
             phantom = blocks.pop("phantom", None)
             coil_maps = None
             if phantom is not None and blocks:  # all coil maps or none
                 coil_maps = [blocks.pop(f"coil_{j}") for j in range(n)]
-            dataset = cls(
-                mask=mask.real.astype(np.float64), data=data,
-                sigma=float(meta["sigma"]),
-                noise_seed=int(meta["noise_seed"]),
-                coil_seed=int(meta["coil_seed"]),
-                fraction=float(meta["fraction"]),
-                phantom=phantom, coil_maps=coil_maps,
-            )
-        if not data:
-            raise ContainerFormatError(f"{path}: dataset has no coils")
         if mask.imag.any():
             raise ContainerFormatError(f"{path}: the mask block is not real")
-        return dataset
+        return cls(mask=mask.real.astype(np.float64), data=data,
+                   phantom=phantom, coil_maps=coil_maps, **scalars)
 
 
 @dataclass
@@ -219,17 +227,11 @@ class ReconstructionRecord:
     wall_ms: float
 
     def save(self, path):
-        meta = {
-            "n": len(self.coil_maps),
-            "algorithm": self.algorithm,
-            "iterations": int(self.iterations),
-            "final_residual": repr(float(self.final_residual)),
-            "wall_ms": repr(float(self.wall_ms)),
-        }
         blocks = {"u": self.u}
         for j, c in enumerate(self.coil_maps):
             blocks[f"coil_{j}"] = c
-        write_container(path, MAGIC_RECORD, meta, blocks)
+        write_container(path, MAGIC_RECORD,
+                        _header(self, len(self.coil_maps)), blocks)
 
     @classmethod
     def load(cls, path) -> "ReconstructionRecord":
@@ -237,15 +239,9 @@ class ReconstructionRecord:
         and every sample finite, or :class:`ContainerFormatError`."""
         meta, blocks = read_container(path, MAGIC_RECORD)
         with _entries(path, blocks):
-            n = int(meta["n"])
-            if n < 1 or int(meta["iterations"]) < 0:
-                raise ValueError("no coils or negative iterations")
-            record = cls(
-                u=blocks.pop("u"),
-                coil_maps=[blocks.pop(f"coil_{j}") for j in range(n)],
-                algorithm=meta["algorithm"],
-                iterations=int(meta["iterations"]),
-                final_residual=float(meta["final_residual"]),
-                wall_ms=float(meta["wall_ms"]),
-            )
+            n, scalars = _read_header(cls, meta)
+            record = cls(u=blocks.pop("u"), coil_maps=[
+                blocks.pop(f"coil_{j}") for j in range(n)], **scalars)
+            if record.iterations < 0:
+                raise ValueError("negative iterations")
         return record

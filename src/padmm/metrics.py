@@ -52,11 +52,6 @@ def write_pgm(path, field: np.ndarray):
 
 
 def format_metrics(values: dict) -> str:
-    """Fixed-field metrics report (psnr_recon_db, psnr_zerofill_db, ...)."""
-    order = ("psnr_recon_db", "psnr_zerofill_db", "final_residual",
-             "iterations", "wall_ms")
-    lines = []
-    for key in order:
-        v = values[key]
-        lines.append(f"{key}: {v!r}" if isinstance(v, float) else f"{key}: {v}")
-    return "\n".join(lines) + "\n"
+    """One ``key: value`` line per entry, in the dict's order (``str`` of a
+    float is its ``repr``, so values read back exactly)."""
+    return "".join(f"{key}: {value}\n" for key, value in values.items())

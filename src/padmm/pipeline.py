@@ -180,9 +180,12 @@ def mri_problem(dataset: Dataset, cfg: ExperimentConfig) -> MriProblem:
     squared residuals pick up a factor H*W when re-expressed against
     the unitary transform, so the effective weight is lam * H * W.
     """
-    npix = float(dataset.mask.size)
+    with np.errstate(over="ignore"):  # reported below
+        lam = np.asarray(cfg.lam, dtype=float) * float(dataset.mask.size)
+    if not np.isfinite(lam).all():
+        raise ConfigError(f"weights.lam {cfg.lam!r} overflows when scaled "
+                          f"to the {dataset.shape[0]}x{dataset.shape[1]} grid")
     try:
-        lam = np.asarray(cfg.lam, dtype=float) * npix
         return MriProblem(
             mask=dataset.mask, data=dataset.data,
             lam=lam, alpha0=cfg.alpha0, alpha=cfg.alpha,
@@ -211,7 +214,7 @@ def reconstruct(dataset: Dataset, cfg: ExperimentConfig):
 
 
 def evaluate(record: ReconstructionRecord, dataset: Dataset) -> dict:
-    """PSNR of the reconstruction and the zero-filling baseline."""
+    """PSNRs and run figures: the fields of ``metrics.txt``, in order."""
     if dataset.phantom is None:
         raise ConfigError("dataset has no ground truth; cannot evaluate")
     if record.u.shape != dataset.shape:

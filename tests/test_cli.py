@@ -352,8 +352,9 @@ class TestValidationFailures:
 
 
 def _files(root):
-    """Every file under ``root``, with its bytes."""
-    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    """Every file and directory under ``root``, with a file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 def _one_error_line(capsys):
@@ -415,6 +416,49 @@ class TestInputsOnceMisread:
         before = _files(config.parent)
         assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
         assert _one_error_line(capsys).startswith("error: sampling.sigma ")
+        assert _files(config.parent) == before
+
+    def test_weight_that_overflows_on_the_grid(self, workspace, capsys):
+        config, out = workspace
+        raw = yaml.safe_load(config.read_text())
+        raw["weights"]["lam"] = 1.0e306  # finite, but not times 32 * 32
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["simulate", "--config", str(config)]) == EXIT_OK
+        before = _files(config.parent)
+        for command in ("reconstruct", "equivalence"):
+            capsys.readouterr()
+            assert main([command, "--config", str(config)]) == EXIT_VALIDATION
+            assert _one_error_line(capsys) == (
+                "error: weights.lam 1e+306 overflows when scaled to the "
+                "32x32 grid\n")
+        assert _files(config.parent) == before
+
+    def test_equivalence_creates_no_directory(self, workspace, capsys):
+        config, out = workspace
+        assert main(["equivalence", "--config", str(config), "--out",
+                     str(config.parent / "new" / "dir")]) == EXIT_VALIDATION
+        _one_error_line(capsys)
+        assert not (config.parent / "new").exists()
+        main(["simulate", "--config", str(config)])
+        assert main(["equivalence", "--config", str(config), "--iters", "1",
+                     "--data", str(out / "dataset.pad"), "--out",
+                     str(config.parent / "new" / "dir")]) == EXIT_OK
+        assert not (config.parent / "new").exists()
+
+    def test_out_file_stops_reconstruct_before_the_solve(
+            self, workspace, capsys, monkeypatch):
+        config, out = workspace
+        main(["simulate", "--config", str(config)])
+        bad = config.parent / "file"
+        bad.write_text("not a directory")
+        monkeypatch.setattr("padmm.cli.reconstruct",
+                            lambda *_: pytest.fail("the solve started"))
+        before = _files(config.parent)
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(config), "--data",
+                     str(out / "dataset.pad"), "--out", str(bad)]) \
+            == EXIT_VALIDATION
+        assert _one_error_line(capsys) == f"error: {bad}: Not a directory\n"
         assert _files(config.parent) == before
 
     @pytest.mark.parametrize("command, flag, kind", [

@@ -1,3 +1,5 @@
+import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from padmm.dataset import (MAGIC_DATASET, MAGIC_RECORD, ContainerFormatError,
                            Dataset, ReconstructionRecord, read_container,
                            write_container)
+from padmm.pipeline import ALGORITHMS
 
 from oracles import decode_interleaved, encode_interleaved, signed_zero_field
 
@@ -131,6 +134,15 @@ class TestContainer:
             write_container(tmp_path / "c.pad", MAGIC_DATASET,
                             {"a:b": 1}, {})
 
+    def test_metadata_value_with_a_newline_rejected(self, tmp_path):
+        # it would end the entry early: "ad\nmm" once loaded as "ad"
+        rec = ReconstructionRecord(
+            u=np.ones((2, 2), dtype=complex), coil_maps=[np.ones((2, 2))],
+            algorithm="ad\nmm", iterations=1, final_residual=1.0, wall_ms=1.0)
+        with pytest.raises(ContainerFormatError, match="bad metadata"):
+            rec.save(tmp_path / "r.pad")
+        assert not (tmp_path / "r.pad").exists()
+
 
 def special_field(rng, shape, kind):
     """:func:`signed_zero_field` with infinities and NaN payloads written
@@ -211,6 +223,54 @@ class TestHeaderKeys:
         assert (back.algorithm, back.iterations, back.final_residual,
                 back.wall_ms) == (rec.algorithm, rec.iterations,
                                   rec.final_residual, rec.wall_ms)
+
+
+# finite floats, with negative zero, subnormals and the extremes drawn often
+FLOATS = (st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                           -1.7976931348623157e308])
+          | st.floats(allow_nan=False, allow_infinity=False))
+SEEDS = st.integers(0, 2 ** 200)
+
+
+def same(a, b) -> bool:
+    """Equal values of one type; floats bit for bit (-0.0, NaN)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+class TestHeaderRoundTrip:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sigma=FLOATS, noise_seed=SEEDS, coil_seed=SEEDS, fraction=FLOATS,
+           algorithm=st.sampled_from(ALGORITHMS), iterations=SEEDS,
+           # a run with no completed step records a NaN residual
+           final_residual=FLOATS | st.just(math.nan), wall_ms=FLOATS)
+    def test_every_header_field(self, tmp_path, sigma, noise_seed, coil_seed,
+                                fraction, algorithm, iterations,
+                                final_residual, wall_ms):
+        field = np.ones((2, 3), dtype=complex)
+        saved = [
+            (Dataset(mask=field.real, data=[field], sigma=sigma,
+                     noise_seed=noise_seed, coil_seed=coil_seed,
+                     fraction=fraction),
+             ("sigma", "noise_seed", "coil_seed", "fraction")),
+            (ReconstructionRecord(u=field, coil_maps=[field],
+                                  algorithm=algorithm, iterations=iterations,
+                                  final_residual=final_residual,
+                                  wall_ms=wall_ms),
+             ("algorithm", "iterations", "final_residual", "wall_ms")),
+        ]
+        for rec, names in saved:
+            first, second = tmp_path / "first.pad", tmp_path / "second.pad"
+            rec.save(first)
+            back = type(rec).load(first)
+            for name in names:
+                assert same(getattr(back, name), getattr(rec, name)), name
+            back.save(second)
+            assert second.read_bytes() == first.read_bytes()
 
 
 class TestDataset:

@@ -1,10 +1,14 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from padmm.dataset import Dataset, ReconstructionRecord
 from padmm.fields import dft2
 from padmm.metrics import format_metrics, psnr, write_pgm, zero_fill_baseline
+from padmm.pipeline import evaluate
 
 from oracles import parse_metrics
 
@@ -86,6 +90,23 @@ class TestReport:
 
     def test_format_is_deterministic(self):
         assert format_metrics(self.VALUES) == format_metrics(dict(self.VALUES))
+
+
+def test_readme_lists_the_fields_evaluate_returns():
+    # the dict ``evaluate`` returns is the one list of metrics.txt fields
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = readme.split("`out/metrics.txt` contains exactly the fields",
+                            1)[1].split(".\n", 1)[0]
+    field = np.ones((4, 4), dtype=complex)
+    dataset = Dataset(mask=field.real, data=[field], sigma=0.0, noise_seed=0,
+                      coil_seed=0, fraction=1.0, phantom=field,
+                      coil_maps=[field])
+    record = ReconstructionRecord(u=2 * field, coil_maps=[field],
+                                  algorithm="admm", iterations=1,
+                                  final_residual=0.5, wall_ms=1.0)
+    values = evaluate(record, dataset)
+    assert re.findall(r"`(\w+)`", sentence) == list(values)
+    assert list(parse_metrics(format_metrics(values))) == list(values)
 
 
 class TestPgm:
