@@ -114,9 +114,11 @@ def _run(args) -> int:
 
     dataset = Dataset.load(args.data or out("dataset.pad"))
     if args.command == "reconstruct":
-        if os.path.isfile(cfg.output):  # found before the solve, not after
-            raise NotADirectoryError(errno.ENOTDIR, "Not a directory",
-                                     cfg.output)
+        where = cfg.output  # a file in the way is found before the solve
+        while where and not os.path.exists(where):
+            where = os.path.dirname(where)
+        if where and not os.path.isdir(where):
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", where)
         record, report = reconstruct(dataset, cfg)
         record.save(out("recon.pad"))
         atomic_write(out("convergence.txt"), [report.to_text().encode()])

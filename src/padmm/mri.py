@@ -131,7 +131,7 @@ def coil_weights(lam, alpha0, alpha, n: int):
 class MriProblem:
     """Data and weights of one reconstruction instance, checked once here
     for the resolvents: weights by :func:`coil_weights`, a binary mask S
-    (as float64), and per-coil k-space data of S's shape that vanishes off
+    (as float64), and finite per-coil k-space data of S's shape, zero off
     S.  Weights are used literally, without the paper's sum-to-one rule.
     """
 
@@ -151,7 +151,9 @@ class MriProblem:
         for f in self.data:
             if f.shape != self.mask.shape:
                 raise ValueError("k-space data shape mismatch")
-            if np.any(np.abs(f * (1.0 - self.mask)) > 0):
+            if not np.all(np.isfinite(f)):
+                raise ValueError("k-space data must be finite")
+            if np.any(f[self.mask == 0] != 0):
                 raise ValueError("k-space data must vanish off the mask")
 
     @property

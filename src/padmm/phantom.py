@@ -157,32 +157,42 @@ class MaskFractionError(RuntimeError):
     """Spiral parameter search could not reach the target coverage."""
 
 
-def _stamp_spiral(size: int, turns: float, thickness: float) -> np.ndarray:
-    """Centered one-armed Archimedean spiral with given line thickness."""
+def _spiral_lines(size: int, turns: float):
+    """Centered one-armed Archimedean spiral, as a function from a line
+    thickness t to ``d <= (t/2)**2 + 0.25`` plus the center pixel.  ``d``
+    holds per pixel (i, j) the least ``(i - py)**2 + (j - px)**2`` over
+    the samples (py, px) that round to within ``done`` px of it.  Samples
+    round to within 0.5 px, so farther ones give at least (ceil(t/2) +
+    0.5)**2 > (t/2)**2 + 0.25, and ``d`` widens only to ceil(t/2)."""
     center = (size - 1) / 2.0
     r_max = math.sqrt(2.0) * size / 2.0
     theta_max = 2.0 * math.pi * turns
-    half = thickness / 2.0
-    win = max(int(math.ceil(half)), 0)
-
     # uniform theta sampling fine enough for ~0.3 px arc steps outermost
     n_samples = max(int(theta_max * r_max / 0.3), 64)
     theta = np.linspace(0.0, theta_max, n_samples)
     r = r_max * theta / theta_max
     px = center + r * np.cos(theta)
     py = center + r * np.sin(theta)
-    i0 = np.rint(py).astype(np.int64)
-    j0 = np.rint(px).astype(np.int64)
+    i0, j0 = np.rint(py), np.rint(px)
+    d, done = np.full(size * size, np.inf), -1
 
-    mask = np.zeros((size, size), dtype=bool)
-    for di in range(-win, win + 1):
-        for dj in range(-win, win + 1):
-            i, j = i0 + di, j0 + dj
-            close = ((i - py) ** 2 + (j - px) ** 2) <= half ** 2 + 0.25
-            keep = close & (i >= 0) & (i < size) & (j >= 0) & (j < size)
-            mask[i[keep], j[keep]] = True
-    mask[int(round(center)), int(round(center))] = True
-    return mask
+    def line(thickness: float) -> np.ndarray:
+        nonlocal done
+        half = thickness / 2.0
+        win = max(int(math.ceil(half)), 0)
+        for di in range(-win, win + 1):
+            for dj in range(-win, win + 1):
+                if max(abs(di), abs(dj)) > done:  # not yet in d
+                    i, j = i0 + di, j0 + dj
+                    dist = (i - py) ** 2 + (j - px) ** 2
+                    keep = (i >= 0) & (i < size) & (j >= 0) & (j < size)
+                    np.minimum.at(d, (i * size + j)[keep].astype(np.int64),
+                                  dist[keep])
+        done = max(done, win)
+        mask = (d <= half ** 2 + 0.25).reshape(size, size)
+        mask[int(round(center)), int(round(center))] = True
+        return mask
+    return line
 
 
 def spiral_mask(spec: SamplingSpec, size: int) -> np.ndarray:
@@ -194,10 +204,11 @@ def spiral_mask(spec: SamplingSpec, size: int) -> np.ndarray:
     if spec.fraction >= 1.0:
         return np.ones((size, size), dtype=np.float64)
 
+    line = _spiral_lines(size, spec.turns)
     lo, hi = 0.0, 1.0
     # grow hi until coverage overshoots the target
     for _ in range(20):
-        if _stamp_spiral(size, spec.turns, hi).mean() >= spec.fraction:
+        if line(hi).mean() >= spec.fraction:
             break
         hi *= 2.0
     else:
@@ -205,7 +216,7 @@ def spiral_mask(spec: SamplingSpec, size: int) -> np.ndarray:
 
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        centered = _stamp_spiral(size, spec.turns, mid)
+        centered = line(mid)
         frac = centered.mean()
         if abs(frac - spec.fraction) <= FRACTION_TOL:
             return np.fft.ifftshift(centered.astype(np.float64))

@@ -3,7 +3,10 @@ inputs and a bit-for-bit comparison, slice-based reference kernels, the
 hypot reference norm, flattening and dense maps, finite-difference and
 adjoint checks, callable constraints and operators, a closed-form
 resolvent, the solver steps as BlockVector arithmetic, the
-interleaving ``.pad`` block codec and the metrics-file parser."""
+interleaving ``.pad`` block codec, the metrics-file parser and the
+stamp-per-thickness spiral mask search."""
+
+import math
 
 import numpy as np
 
@@ -12,6 +15,7 @@ from padmm.blocks import BlockVector, random_like
 from padmm.constraint import LinearMap, NonlinearConstraint
 from padmm.fields import grad, grad_adjoint
 from padmm.pdhgm import SeparableOperator
+from padmm.phantom import FRACTION_TOL, MaskFractionError
 from padmm.prox import ProxOp
 
 
@@ -304,3 +308,61 @@ def parse_metrics(text: str) -> dict:
         key, _, value = line.partition(": ")
         out[key] = value
     return out
+
+
+def stamp_spiral(size: int, turns: float, thickness: float) -> np.ndarray:
+    """Centered one-armed Archimedean spiral with given line thickness,
+    stamped offset by offset: the reference for the distance field that
+    :func:`padmm.phantom.spiral_mask` thresholds."""
+    center = (size - 1) / 2.0
+    r_max = math.sqrt(2.0) * size / 2.0
+    theta_max = 2.0 * math.pi * turns
+    half = thickness / 2.0
+    win = max(int(math.ceil(half)), 0)
+
+    # uniform theta sampling fine enough for ~0.3 px arc steps outermost
+    n_samples = max(int(theta_max * r_max / 0.3), 64)
+    theta = np.linspace(0.0, theta_max, n_samples)
+    r = r_max * theta / theta_max
+    px = center + r * np.cos(theta)
+    py = center + r * np.sin(theta)
+    i0 = np.rint(py).astype(np.int64)
+    j0 = np.rint(px).astype(np.int64)
+
+    mask = np.zeros((size, size), dtype=bool)
+    for di in range(-win, win + 1):
+        for dj in range(-win, win + 1):
+            i, j = i0 + di, j0 + dj
+            close = ((i - py) ** 2 + (j - px) ** 2) <= half ** 2 + 0.25
+            keep = close & (i >= 0) & (i < size) & (j >= 0) & (j < size)
+            mask[i[keep], j[keep]] = True
+    mask[int(round(center)), int(round(center))] = True
+    return mask
+
+
+def stamped_spiral_mask(spec, size: int) -> np.ndarray:
+    """Reference :func:`padmm.phantom.spiral_mask`: the same bisection on
+    the thickness, with every trial thickness stamped afresh."""
+    if spec.fraction >= 1.0:
+        return np.ones((size, size), dtype=np.float64)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(20):
+        if stamp_spiral(size, spec.turns, hi).mean() >= spec.fraction:
+            break
+        hi *= 2.0
+    else:
+        raise MaskFractionError("spiral cannot reach the requested fraction")
+
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        centered = stamp_spiral(size, spec.turns, mid)
+        frac = centered.mean()
+        if abs(frac - spec.fraction) <= FRACTION_TOL:
+            return np.fft.ifftshift(centered.astype(np.float64))
+        if frac < spec.fraction:
+            lo = mid
+        else:
+            hi = mid
+    raise MaskFractionError(
+        f"search ended {abs(frac - spec.fraction):.3f} away from target")

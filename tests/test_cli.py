@@ -461,6 +461,22 @@ class TestInputsOnceMisread:
         assert _one_error_line(capsys) == f"error: {bad}: Not a directory\n"
         assert _files(config.parent) == before
 
+    def test_out_under_a_file_stops_reconstruct_before_the_solve(
+            self, workspace, capsys, monkeypatch):
+        config, out = workspace
+        main(["simulate", "--config", str(config)])
+        bad = config.parent / "file"
+        bad.write_text("not a directory")
+        monkeypatch.setattr("padmm.cli.reconstruct",
+                            lambda *_: pytest.fail("the solve started"))
+        before = _files(config.parent)
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(config), "--data",
+                     str(out / "dataset.pad"), "--iters", "100000",
+                     "--out", str(bad / "sub" / "dir")]) == EXIT_VALIDATION
+        assert _one_error_line(capsys) == f"error: {bad}: Not a directory\n"
+        assert _files(config.parent) == before
+
     @pytest.mark.parametrize("command, flag, kind", [
         ("simulate", "--config", "dir"), ("simulate", "--out", "file"),
         ("reconstruct", "--data", "dir"), ("eval", "--recon", "dir"),

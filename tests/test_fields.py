@@ -90,7 +90,7 @@ class TestDft:
         assert abs(np.vdot(y, dft2(x)) - np.vdot(idft2(y), x)) < 1e-10
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 10_000))
 def test_grad_adjoint_property(h, w, seed):
     rng = np.random.default_rng(seed)

@@ -202,6 +202,19 @@ class TestProblemValidation:
             MriProblem(mask=p.mask, data=bad, lam=p.lam,
                        alpha0=p.alpha0, alpha=p.alpha)
 
+    @pytest.mark.parametrize("value", [complex("nan"), complex("inf"),
+                                       complex(0.0, -float("inf"))])
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_non_finite_data_rejected(self, value, sampled):
+        # NaN off the mask used to pass: abs(nan * 0.0) > 0 is False
+        p = small_problem()
+        bad = [f.copy() for f in p.data]
+        where = np.argwhere(p.mask == (1.0 if sampled else 0.0))[-1]
+        bad[1][tuple(where)] = value
+        with pytest.raises(ValueError, match="k-space data must be finite"):
+            MriProblem(mask=p.mask, data=bad, lam=p.lam,
+                       alpha0=p.alpha0, alpha=p.alpha)
+
     def test_negative_weight_rejected(self):
         p = small_problem()
         with pytest.raises(ValueError):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padmm.fields import dft2, grad
 from padmm.phantom import (DEFAULT_ELLIPSES, FRACTION_TOL, TISSUES,
                            MaskFractionError, PhantomSpec, SamplingSpec,
                            build_phantom, flair_signal, make_coil_maps,
                            simulate_kspace, spiral_mask)
+
+from oracles import bit_identical, stamped_spiral_mask
 
 
 class TestSignalModel:
@@ -125,6 +129,35 @@ class TestSpiralMask:
         spec = SamplingSpec(fraction=0.3, turns=3.0)
         with pytest.raises(MaskFractionError, match="search ended"):
             spiral_mask(spec, 3)
+
+
+def _mask_or_error(search, spec, size):
+    try:
+        return search(spec, size)
+    except MaskFractionError as exc:
+        return str(exc)
+
+
+def _same_search(spec, size):
+    """``spiral_mask`` against the stamp-per-thickness search: the same
+    mask bit for bit, or the same MaskFractionError."""
+    new = _mask_or_error(spiral_mask, spec, size)
+    old = _mask_or_error(stamped_spiral_mask, spec, size)
+    if isinstance(old, str) or isinstance(new, str):
+        return new == old
+    return bit_identical(new, old)
+
+
+class TestSpiralMaskField:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(2, 64), st.floats(0.5, 20.0), st.floats(0.02, 0.99))
+    def test_matches_the_stamped_search(self, size, turns, fraction):
+        assert _same_search(SamplingSpec(fraction=fraction, turns=turns), size)
+
+    @pytest.mark.parametrize("size", [96, 190])
+    def test_workload_grids(self, size):
+        # the benchmark's three workloads all sample 0.25 on 12 turns
+        assert _same_search(SamplingSpec(fraction=0.25, turns=12.0), size)
 
 
 class TestKSpaceSimulation:
