@@ -124,11 +124,10 @@ class Problem:
 
 
 class Solver:
-    """Driver shared by both step rules: step sizes, run loop and report.
+    """Driver shared by both step rules: step sizes, iterates and report.
 
     Subclasses implement ``step``, a map ``SolverState -> SolverState``.
-    Divergence is decided here alone: the run ends at the first step
-    whose u, v, mu or residual is not finite, on the last finite state.
+    Divergence is decided in ``iterates`` alone.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -149,31 +148,33 @@ class Solver:
     def step(self, state: SolverState) -> SolverState:
         raise NotImplementedError
 
+    def iterates(self, state: SolverState):
+        """Each accepted state after ``state``, up to ``max_iterations``;
+        a non-finite u, v, mu or residual raises SolverAborted.  Pass the
+        start unnamed: this frame drops it once the first step returns."""
+        for _ in range(self.cfg.max_iterations):
+            # a diverging iterate overflows before it turns non-finite; the
+            # abort reports that once, so numpy is quiet (never at a yield)
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = self.step(state)
+            if not (state.u.isfinite() and (state.v is None or state.v.isfinite())
+                    and state.mu.isfinite() and math.isfinite(state.residual)):
+                raise SolverAborted(f"non-finite iterate at iteration {state.k}")
+            yield state
+
     def _drive(self, state: SolverState, callbacks):
-        # ``state`` is the only reference this frame keeps to the start
-        # state, so its blocks are freed once the first step is accepted
         residuals, abort_message = [], ""
         t0 = time.perf_counter()
-        # a diverging iterate overflows before it turns non-finite; the
-        # abort message reports that once, so numpy stays quiet
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(self.cfg.max_iterations):
-                new = self.step(state)
-                if not (new.u.isfinite()
-                        and (new.v is None or new.v.isfinite())
-                        and new.mu.isfinite() and math.isfinite(new.residual)):
-                    abort_message = f"non-finite iterate at iteration {new.k}"
-                    break
-                state = new
+        try:
+            for state in self.iterates(state):
                 residuals.append(state.residual)
                 for cb in callbacks or ():
                     cb(state)
-        report = ConvergenceReport(
-            iterations=state.k, residuals=residuals,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            abort_message=abort_message,
-        )
-        return state, report
+        except SolverAborted as exc:
+            abort_message = str(exc)
+        return state, ConvergenceReport(
+            iterations=state.k, residuals=residuals, abort_message=abort_message,
+            wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
 class AdmmSolver(Solver):
@@ -235,10 +236,14 @@ class AdmmSolver(Solver):
             k=state.k + 1, tau1=tau1, tau2=tau2, residual=residual,
         )
 
+    @staticmethod
+    def start(u0: BlockVector, v0: BlockVector, mu0: BlockVector) -> SolverState:
+        """The state before the first step, in arrays of its own."""
+        return SolverState(u0.copy(), v0.copy(), mu0.copy(), mu0.copy())
+
     def run(self, u0: BlockVector, v0: BlockVector, mu0: BlockVector,
             callbacks: Optional[list] = None):
-        return self._drive(SolverState(u=u0.copy(), v=v0.copy(), mu=mu0.copy(),
-                                       mu_bar=mu0.copy()), callbacks)
+        return self._drive(self.start(u0, v0, mu0), callbacks)
 
 
 def descend(jac: LinearMap, tau: float, u: BlockVector, mu_bar: BlockVector,
@@ -261,8 +266,7 @@ def extrapolate(mu_new: BlockVector, mu: BlockVector) -> BlockVector:
     return BlockVector(blocks)
 
 
-def run(problem: Problem, cfg: SolverConfig,
-        callbacks: Optional[list] = None):
+def run(problem: Problem, cfg: SolverConfig):
     """Run the preconditioned ADMM on a fully specified problem."""
     solver = AdmmSolver(problem.constraint, problem.prox_h, problem.prox_j, cfg)
-    return solver.run(problem.u0, problem.v0, problem.mu0, callbacks=callbacks)
+    return solver.run(problem.u0, problem.v0, problem.mu0)

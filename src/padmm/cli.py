@@ -4,8 +4,8 @@ Subcommands: simulate, reconstruct, baseline, eval, equivalence.  Each
 takes ``--config <file>`` and an ``--out`` override; ``simulate`` also
 takes ``--seed`` (noise seed), ``reconstruct`` and ``equivalence`` take
 ``--iters``.  Each output file's name and writer are here, in ``_run``.
-Exit status: 0 success, 2 validation failure or unusable path, 3 solver
-abort.
+Exit status: 0 success, 2 validation failure, unusable path or a grid
+too large to allocate, 3 solver abort.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def main(argv=None) -> int:
         warnings.simplefilter("always", append=True)
         try:
             return _run(args)
-        except (ConfigError, ContainerFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (ConfigError, ContainerFormatError, MemoryError) as exc:
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return EXIT_VALIDATION
         except OSError as exc:  # on a path the flags or the config name
             where = f"{exc.filename}: " if exc.filename else ""

@@ -12,7 +12,8 @@ variable:
 This module also provides the harness that checks the reordered
 iteration against the ADMM solver: the reordered mu-update at step k
 consumes u^k where the ADMM consumed u^{k+1}, so after shifting the
-u-sequences by one the iterates coincide.
+u-sequences by one the iterates coincide.  It walks the two streams
+of iterates in lockstep, so it holds a few states at any length.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .admm import (Problem, Solver, SolverAborted, SolverConfig, SolverState,
-                   descend, extrapolate, run as run_admm)
+from .admm import (AdmmSolver, Problem, Solver, SolverConfig, SolverState,
+                   descend, extrapolate)
 from .blocks import BlockVector, detached
 from .constraint import LinearMap, NonlinearConstraint
 # unused here, but benchmarks/spans.py patches and checks this attribute
@@ -131,13 +132,15 @@ class PdhgmSolver(Solver):
             tau1=tau1, tau2=1.0 / delta, residual=residual,
         )
 
-    def run(self, callbacks: Optional[list] = None):
-        """Iterate from the problem's start; callbacks receive (u, mu)."""
+    def start(self) -> SolverState:
+        """The problem's start; mu_bar, which no step reads, is mu0 itself."""
         p = self.problem
-        state, report = self._drive(
-            SolverState(u=p.u0.copy(), v=None, mu=p.mu0.copy(), mu_bar=p.mu0),
-            [lambda st, cb=cb: cb(st.u, st.mu) for cb in callbacks or ()],
-        )
+        return SolverState(u=p.u0.copy(), v=None, mu=p.mu0.copy(), mu_bar=p.mu0)
+
+    def run(self, callbacks: Optional[list] = None):
+        """Iterate from ``start``; callbacks receive (u, mu)."""
+        state, report = self._drive(self.start(), [
+            lambda st, cb=cb: cb(st.u, st.mu) for cb in callbacks or ()])
         return state.u, state.mu, report
 
 
@@ -145,27 +148,20 @@ def equivalence_check(problem: SeparableProblem, cfg: SolverConfig,
                       iterations: int) -> float:
     """Max deviation between the ADMM and dual-first u-sequences.
 
-    Runs the ADMM (tau2 = 1/delta, as B = -I) on F(u, v) = G(u) - v, then
-    the dual-first iteration from its first u-iterate, comparing each
-    iterate on arrival after the one-index shift the reordering induces.
-    Norm estimation starts cold, so equal base points give both solvers
-    bit-identical step sizes.  Either run aborting raises SolverAborted.
+    The dual-first stream starts from the u of the first ADMM iterate
+    (tau2 = 1/delta, as B = -I), then both are walked in lockstep:
+    iterate k meets ADMM iterate k + 1, the shift the reordering
+    induces.  Norm estimation starts cold, so equal base points give
+    bit-identical step sizes.  Either stream's SolverAborted propagates.
     """
+    if iterations < 0:
+        raise ValueError("iterations must be nonnegative")
     cfg = replace(cfg, warm_start_opnorm=False)
-    u_hist = []
-    _, report = run_admm(problem.as_admm_problem(),
-                         replace(cfg, max_iterations=iterations + 1),
-                         callbacks=[lambda st: u_hist.append(st.u)])
-    admm_u, deviation = iter(u_hist), 0.0
-
-    def compare(u, _mu):
-        nonlocal deviation
-        deviation = max(deviation, (u - next(admm_u)).norm())
-
-    if not report.aborted:
-        solver = PdhgmSolver(replace(problem, u0=next(admm_u)),
-                             replace(cfg, max_iterations=iterations))
-        _, _, report = solver.run(callbacks=[compare])
-    if report.aborted:
-        raise SolverAborted(report.abort_message)
-    return deviation
+    ap = problem.as_admm_problem()
+    admm = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
+                      replace(cfg, max_iterations=iterations + 1))
+    admm_states = admm.iterates(admm.start(ap.u0, ap.v0, ap.mu0))
+    pd = PdhgmSolver(replace(problem, u0=next(admm_states).u),
+                     replace(cfg, max_iterations=iterations))
+    return max(((pd_st.u - admm_st.u).norm() for admm_st, pd_st in
+                zip(admm_states, pd.iterates(pd.start()))), default=0.0)

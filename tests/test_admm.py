@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,12 @@ def scalar_consensus():
         mu0=BlockVector.zeros(shapes),
     )
     return problem, a, b
+
+
+def states(problem: Problem, cfg: SolverConfig):
+    """The stream of ADMM iterates from the problem's start."""
+    solver = AdmmSolver(problem.constraint, problem.prox_h, problem.prox_j, cfg)
+    return solver.iterates(solver.start(problem.u0, problem.v0, problem.mu0))
 
 
 class TestFixedPoints:
@@ -84,8 +91,7 @@ class TestStepSizes:
         delta, theta = 1.7, 0.9
         cfg = SolverConfig(delta=delta, theta=theta, max_iterations=5,
                            power_iter_tol=1e-13, power_iter_max=5000)
-        tau1s = []
-        run(problem, cfg, callbacks=[lambda st: tau1s.append(st.tau1)])
+        tau1s = [st.tau1 for st in states(problem, cfg)]
         assert len(tau1s) == 5
         for tau1 in tau1s:
             assert abs(tau1 * delta * norm_k ** 2 - theta) < 1e-6
@@ -96,12 +102,11 @@ class TestStepSizes:
     def test_tau2_override_is_used_verbatim(self):
         problem, _, _ = scalar_consensus()
         cfg = SolverConfig(max_iterations=3, tau2_override=0.123)
-        tau2s = []
-        run(problem, cfg, callbacks=[lambda st: tau2s.append(st.tau2)])
+        tau2s = [st.tau2 for st in states(problem, cfg)]
         assert tau2s == [0.123] * 3
 
     def test_opnorm_budget_warning_reaches_the_caller(self):
-        # the run loop silences numpy's overflow warnings, not this one
+        # the stream silences numpy's overflow warnings, not this one
         problem, _, _ = scalar_consensus()
         cfg = SolverConfig(max_iterations=1, power_iter_max=1)
         with pytest.warns(RuntimeWarning, match="power iteration"):
@@ -258,6 +263,34 @@ class TestDivergenceHandling:
         assert report.aborted
         assert "non-finite" in report.abort_message
         assert state.u.isfinite()
+
+
+class TestIterates:
+    def test_caller_errstate_holds_between_and_after_yields(self):
+        # each step silences numpy on its own, never across a yield, so
+        # interleaved streams cannot leave one another's setting behind
+        problem, _, _ = scalar_consensus()
+        with np.errstate(over="raise", invalid="warn", divide="print",
+                         under="ignore"):
+            want = np.geterr()
+            short = states(problem, SolverConfig(max_iterations=2))
+            long = states(problem, SolverConfig(max_iterations=5))
+            pairs = 0
+            for a, b in itertools.zip_longest(short, long):
+                pairs += 1
+                assert np.geterr() == want
+            assert pairs == 5 and a is None and b.k == 5
+            assert np.geterr() == want
+        assert np.geterr() != want
+
+    def test_run_reports_the_last_state_of_the_stream(self):
+        problem, _, _ = scalar_consensus()
+        cfg = SolverConfig(max_iterations=7)
+        streamed = list(states(problem, cfg))
+        state, report = run(problem, cfg)
+        assert report.iterations == state.k == streamed[-1].k == 7
+        assert report.residuals == [st.residual for st in streamed]
+        assert np.array_equal(state.u[0], streamed[-1].u[0])
 
 
 class TestConfigValidation:

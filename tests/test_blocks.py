@@ -56,7 +56,7 @@ def test_norm_matches_hypot_reference(layout, seed):
 
 def test_norm_overflow_is_inf():
     # the solvers report an overflowed residual as divergence and
-    # silence the overflow warning in Solver._drive, as here
+    # silence the overflow warning in Solver.iterates, as here
     x = BlockVector([np.ones(3), np.full((2, 2, 2), 1e200 + 1e200j)])
     with np.errstate(over="ignore"):
         assert x.norm() == float("inf")

@@ -684,3 +684,28 @@ def test_warning_filters_set_before_the_cli_still_apply(capped):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="power iteration"):
             main(["reconstruct", "--config", str(capped)])
+
+
+def test_grid_too_large_to_allocate_exits_2(tmp_path):
+    # a fresh interpreter under a 4 GiB address-space cap, so the phantom
+    # allocation fails at once instead of overcommitting
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    config = tmp_path / "huge.yaml"
+    config.write_text(yaml.safe_dump({"phantom": {"size": 1000000},
+                                      "output": str(tmp_path / "out")}))
+    src = str(Path(padmm.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "padmm.cli", "simulate", "--config", str(config)],
+        capture_output=True, text=True, env=env, check=False,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -39,18 +39,6 @@ def denoising_problem(shapes, f, weight=1.0):
     )
 
 
-def recorded_steps(solver) -> list:
-    """Wrap ``solver.step`` so each state it returns is also listed."""
-    states, step = [], solver.step
-
-    def recorded(state):
-        states.append(step(state))
-        return states[-1]
-
-    solver.step = recorded
-    return states
-
-
 def nan_problem():
     """G(u) is NaN everywhere, so the first step of either solver diverges."""
     shapes = ((2,),)
@@ -219,10 +207,11 @@ class TestEquivalence:
                            match="non-finite iterate at iteration 3"):
             equivalence_check(problem, SolverConfig(), 5)
 
-    def test_history_grows_by_one_u_per_iteration(self):
-        # only the ADMM's u-iterates are kept; each dual-first iterate is
-        # compared as it arrives, so the peak grows by one u-layout vector
-        # per extra iteration, not two
+    def test_peak_memory_does_not_grow_with_iterations(self):
+        # the two streams are walked in lockstep and each pair is dropped
+        # once compared; a kept u-history would add one u-layout vector
+        # per iteration (about 70 here).  The slack of 8 vectors covers
+        # CPython's and numpy's small-object caches, which are bounded.
         exp = config_from_dict({
             "phantom": {"size": 32},
             "coils": {"count": 2, "seed": 1},
@@ -235,14 +224,44 @@ class TestEquivalence:
         problem = separable_problem(mri_problem(simulate(exp), exp))
         u_bytes = sum(b.nbytes for b in problem.u0.blocks)
         peaks = []
-        for iterations in (5, 25):
+        for iterations in (10, 80):
             tracemalloc.start()
             try:
                 equivalence_check(problem, exp.solver, iterations)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 20 <= 1.25 * u_bytes
+        assert peaks[1] - peaks[0] <= 8 * u_bytes
+
+    @staticmethod
+    def count_steps(monkeypatch) -> dict:
+        counts = {}
+        for solver in (AdmmSolver, PdhgmSolver):
+            def counted(self, state, step=solver.step, name=solver.__name__):
+                counts[name] = counts.get(name, 0) + 1
+                return step(self, state)
+            monkeypatch.setattr(solver, "step", counted)
+        return counts
+
+    @pytest.mark.parametrize("iterations", [-1, -2])
+    def test_negative_count_rejected_before_any_step(self, monkeypatch,
+                                                     iterations):
+        counts = self.count_steps(monkeypatch)
+        shapes = ((3,),)
+        problem = denoising_problem(shapes, BlockVector.zeros(shapes))
+        with pytest.raises(ValueError,
+                           match="^iterations must be nonnegative$"):
+            equivalence_check(problem, SolverConfig(), iterations)
+        assert counts == {}
+
+    def test_zero_iterations_compare_nothing(self, monkeypatch):
+        # one ADMM step gives the dual-first start; no step follows it
+        counts = self.count_steps(monkeypatch)
+        shapes = ((3,),)
+        problem = replace(denoising_problem(shapes, BlockVector.zeros(shapes)),
+                          u0=BlockVector([np.ones(3, complex)]))
+        assert equivalence_check(problem, SolverConfig(), 0) == 0.0
+        assert counts == {"AdmmSolver": 1}
 
 
 class TestSeparableConstraintAdapter:
@@ -315,21 +334,37 @@ class TestSolverParity:
         cfg = replace(exp.solver, warm_start_opnorm=False,
                       max_iterations=iterations)
         ap = problem.as_admm_problem()
-        admm_states = []
-        _, admm = AdmmSolver(
-            ap.constraint, ap.prox_h, ap.prox_j,
-            replace(cfg, max_iterations=iterations + 1),
-        ).run(ap.u0, ap.v0, ap.mu0, callbacks=[admm_states.append])
+        admm_solver = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
+                                 replace(cfg, max_iterations=iterations + 1))
+        admm_states = list(admm_solver.iterates(
+            admm_solver.start(ap.u0, ap.v0, ap.mu0)))
         pd_solver = PdhgmSolver(replace(problem, u0=admm_states[0].u), cfg)
-        pd_states = recorded_steps(pd_solver)
-        _, _, pd = pd_solver.run()
+        pd_states = list(pd_solver.iterates(pd_solver.start()))
 
-        assert len(pd.residuals) == iterations
-        for r_pd, r_admm in zip(pd.residuals, admm.residuals):
-            assert abs(r_pd - r_admm) <= 1e-12 * r_admm
+        assert len(pd_states) == iterations
+        for pd, admm in zip(pd_states, admm_states):
+            assert abs(pd.residual - admm.residual) <= 1e-12 * admm.residual
         assert [st.tau2 for st in pd_states] == [1.0 / cfg.delta] * iterations
         assert ([st.tau2 for st in admm_states]
                 == [1.0 / cfg.delta] * (iterations + 1))
+
+    @pytest.mark.parametrize("algorithm", ["admm", "pdhgm"])
+    def test_stream_raises_the_abort_run_reports(self, algorithm):
+        problem = nan_problem()
+        cfg = SolverConfig(max_iterations=5)
+        if algorithm == "admm":
+            ap = problem.as_admm_problem()
+            solver = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j, cfg)
+            stream = solver.iterates(solver.start(ap.u0, ap.v0, ap.mu0))
+            report = solver.run(ap.u0, ap.v0, ap.mu0)[-1]
+        else:
+            solver = PdhgmSolver(problem, cfg)
+            stream = solver.iterates(solver.start())
+            report = solver.run()[-1]
+        with pytest.raises(SolverAborted) as caught:
+            next(stream)
+        assert str(caught.value) == report.abort_message
+        assert report.abort_message == "non-finite iterate at iteration 1"
 
     def test_divergence_reported_alike(self):
         problem = nan_problem()
@@ -354,18 +389,21 @@ class TestSolverParity:
                           u0=BlockVector([np.full(2, 1e200, complex)]))
         cfg = SolverConfig(max_iterations=5)
         ap = problem.as_admm_problem()
+        _, admm = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
+                             cfg).run(ap.u0, ap.v0, ap.mu0)
+        _, _, pd = PdhgmSolver(problem, cfg).run()
+        # the state each run rejected: the first step of a cold solver
         admm_solver = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j, cfg)
         pd_solver = PdhgmSolver(problem, cfg)
-        admm_steps, pd_steps = (recorded_steps(admm_solver),
-                                recorded_steps(pd_solver))
-        _, admm = admm_solver.run(ap.u0, ap.v0, ap.mu0)
-        _, _, pd = pd_solver.run()
-        for report, steps in ((admm, admm_steps), (pd, pd_steps)):
-            first = steps[0]
+        with np.errstate(over="ignore"):
+            admm_first = admm_solver.step(
+                admm_solver.start(ap.u0, ap.v0, ap.mu0))
+            pd_first = pd_solver.step(pd_solver.start())
+        for report, first in ((admm, admm_first), (pd, pd_first)):
             assert first.u.isfinite() and first.mu.isfinite()
             assert first.residual == float("inf")
             assert report.aborted
             assert report.iterations == 0
             assert report.residuals == []
-        assert admm_steps[0].v.isfinite()
+        assert admm_first.v.isfinite()
         assert pd.abort_message == admm.abort_message

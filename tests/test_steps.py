@@ -40,13 +40,7 @@ def admm_solver(problem: Problem, cfg):
 
 
 def admm_start(problem: Problem) -> SolverState:
-    return SolverState(u=problem.u0.copy(), v=problem.v0.copy(),
-                       mu=problem.mu0.copy(), mu_bar=problem.mu0.copy())
-
-
-def pdhgm_start(problem) -> SolverState:
-    return SolverState(u=problem.u0.copy(), v=None, mu=problem.mu0.copy(),
-                       mu_bar=problem.mu0.copy())
+    return AdmmSolver.start(problem.u0, problem.v0, problem.mu0)
 
 
 def arrays(state: SolverState):
@@ -115,7 +109,7 @@ class TestSameBitsAsBlockArithmetic:
     @staticmethod
     def check_pdhgm(problem, cfg):
         fast, ref = PdhgmSolver(problem, cfg), PdhgmSolver(problem, cfg)
-        a = b = pdhgm_start(problem)
+        a = b = fast.start()
         for _ in range(STEPS):
             a, b = fast.step(a), reference_pdhgm_step(ref, b)
             assert_same_state(a, b)
@@ -159,8 +153,8 @@ def pass_through_problem(rng):
 
 
 class TestStatesOwnTheirArrays:
-    """Callbacks and ``equivalence_check`` keep states; a later step must
-    never write into them, and no two states may share an array."""
+    """Callers of ``iterates`` and callbacks may keep states; a later step
+    must never write into them, and no two states may share an array."""
 
     @staticmethod
     def check(solver, start: SolverState):
@@ -183,7 +177,8 @@ class TestStatesOwnTheirArrays:
         assert isinstance(problem.prox_h, IdentityProx)
         ap = problem.as_admm_problem()
         self.check(admm_solver(ap, cfg), admm_start(ap))
-        self.check(PdhgmSolver(problem, cfg), pdhgm_start(problem))
+        pd = PdhgmSolver(problem, cfg)
+        self.check(pd, pd.start())
 
     def test_maps_that_return_their_argument(self):
         rng = np.random.default_rng(2)
@@ -195,7 +190,8 @@ class TestStatesOwnTheirArrays:
         pd = replace(denoising_problem(shapes, f),
                      u0=random_like(BlockVector.zeros(shapes), rng),
                      mu0=random_like(BlockVector.zeros(shapes), rng))
-        self.check(PdhgmSolver(pd, SolverConfig(delta=0.7)), pdhgm_start(pd))
+        solver = PdhgmSolver(pd, SolverConfig(delta=0.7))
+        self.check(solver, solver.start())
         ap = pd.as_admm_problem()
         self.check(admm_solver(ap, SolverConfig(delta=0.7)), admm_start(ap))
 
@@ -219,7 +215,8 @@ class TestStepPeakMemory:
                 ap = problem.as_admm_problem()
                 solver, state = admm_solver(ap, cfg), admm_start(ap)
             else:
-                solver, state = PdhgmSolver(problem, cfg), pdhgm_start(problem)
+                solver = PdhgmSolver(problem, cfg)
+                state = solver.start()
             for _ in range(3):
                 state = solver.step(state)
             tracemalloc.reset_peak()
