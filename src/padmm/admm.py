@@ -45,7 +45,6 @@ class SolverConfig:
     power_iter_tol: float = 1e-7
     power_iter_max: int = 100
     tau2_override: Optional[float] = None
-    warm_start_opnorm: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -68,6 +67,8 @@ class SolverState:
     """Iterate after ``k`` steps; ``residual`` is ||F(u, v) - c||.
 
     The dual-first step eliminates v, so its states carry ``v = None``.
+    ``eig_a``/``eig_b`` warm-start the next power iteration on the u-/v-
+    Jacobian, with its last eigenvector; ``None`` starts it from the seed.
     """
 
     u: BlockVector
@@ -78,6 +79,8 @@ class SolverState:
     tau1: Optional[float] = None
     tau2: Optional[float] = None
     residual: float = float("nan")
+    eig_a: Optional[BlockVector] = None
+    eig_b: Optional[BlockVector] = None
 
 
 @dataclass
@@ -132,18 +135,15 @@ class Solver:
 
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
-        self._warm = {}
 
-    def step_size(self, linmap: LinearMap, key: str) -> float:
-        """theta / (delta ||linmap||^2), the norm warm-started per ``key``."""
+    def step_size(self, linmap: LinearMap, start: Optional[BlockVector]):
+        """(theta / (delta ||linmap||^2), eigvec), estimated from ``start``."""
         cfg = self.cfg
-        start = self._warm.get(key)
-        if start is None or not cfg.warm_start_opnorm:
+        if start is None:
             start = fresh_start(BlockVector.zeros(linmap.domain_shapes), cfg.seed)
         est = estimate_opnorm(linmap, start, tol=cfg.power_iter_tol,
                               max_iter=cfg.power_iter_max)
-        self._warm[key] = est.eigvec
-        return cfg.theta / (cfg.delta * max(est.value ** 2, 1e-300))
+        return cfg.theta / (cfg.delta * max(est.value ** 2, 1e-300)), est.eigvec
 
     def step(self, state: SolverState) -> SolverState:
         raise NotImplementedError
@@ -193,17 +193,18 @@ class AdmmSolver(Solver):
         delta, c = cfg.delta, F.target.blocks
 
         a = F.jac_u(state.u, state.v)
-        tau1 = self.step_size(a, "a")
+        tau1, eig_a = self.step_size(a, state.eig_a)
         u_new = descend(a, tau1, state.u, state.mu_bar, self.prox_h)
         del a  # frees the Jacobian's scratch before the v-step's temporaries
 
         b = F.jac_v(u_new, state.v)
+        eig_b = state.eig_b
         if cfg.tau2_override is not None:
             tau2 = cfg.tau2_override
         elif F.jac_v_is_neg_identity:
             tau2 = 1.0 / cfg.delta
         else:
-            tau2 = self.step_size(b, "b")
+            tau2, eig_b = self.step_size(b, eig_b)
 
         # F(u^{k+1}, .) for both residuals; a separable F evaluates G once
         f_new = F.partial(u_new)
@@ -215,12 +216,12 @@ class AdmmSolver(Solver):
             np.add(mi, ti, out=ti)
         # v^{k+1} = prox_J(v - tau2 B* t)
         y = b.adjoint(t)
-        del t, b
+        del t, b, ti  # ti: the loop above leaves t's last block bound
         for yi, vi in zip(y.blocks, state.v.blocks):
             np.multiply(tau2, yi, out=yi)
             np.subtract(vi, yi, out=yi)
         v_new = self.prox_j.apply(y, tau2)
-        del y
+        del y, yi
 
         # r = F(u^{k+1}, v^{k+1}) - c, then mu^{k+1} = mu + delta r in r
         r = detached(f_new(v_new), u_new, v_new)
@@ -234,6 +235,7 @@ class AdmmSolver(Solver):
         return SolverState(
             u=u_new, v=v_new, mu=r, mu_bar=extrapolate(r, state.mu),
             k=state.k + 1, tau1=tau1, tau2=tau2, residual=residual,
+            eig_a=eig_a, eig_b=eig_b,
         )
 
     @staticmethod

@@ -122,14 +122,14 @@ class PdhgmSolver(Solver):
         for bi, ni, mi in zip(b.blocks, mu_new.blocks, state.mu.blocks):
             np.subtract(ni, mi, out=bi)
         residual = b.norm() / delta
-        del b
+        del b, bi
 
         jac = p.g.jac(state.u)
-        tau1 = self.step_size(jac, "a")
+        tau1, eig_a = self.step_size(jac, state.eig_a)
         u_new = descend(jac, tau1, state.u, mu_bar, p.prox_h)
         return SolverState(
             u=u_new, v=None, mu=mu_new, mu_bar=mu_bar, k=state.k + 1,
-            tau1=tau1, tau2=1.0 / delta, residual=residual,
+            tau1=tau1, tau2=1.0 / delta, residual=residual, eig_a=eig_a,
         )
 
     def start(self) -> SolverState:
@@ -148,20 +148,22 @@ def equivalence_check(problem: SeparableProblem, cfg: SolverConfig,
                       iterations: int) -> float:
     """Max deviation between the ADMM and dual-first u-sequences.
 
-    The dual-first stream starts from the u of the first ADMM iterate
-    (tau2 = 1/delta, as B = -I), then both are walked in lockstep:
-    iterate k meets ADMM iterate k + 1, the shift the reordering
-    induces.  Norm estimation starts cold, so equal base points give
-    bit-identical step sizes.  Either stream's SolverAborted propagates.
+    The dual-first stream starts from the u and eigenvector of the first
+    ADMM iterate (tau2 = 1/delta, as B = -I), then both are walked in
+    lockstep: iterate k meets ADMM iterate k + 1, the shift the
+    reordering induces.  Both warm-start norm estimates, as a run does.
+    Either stream's SolverAborted propagates.
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
-    cfg = replace(cfg, warm_start_opnorm=False)
     ap = problem.as_admm_problem()
     admm = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
                       replace(cfg, max_iterations=iterations + 1))
     admm_states = admm.iterates(admm.start(ap.u0, ap.v0, ap.mu0))
-    pd = PdhgmSolver(replace(problem, u0=next(admm_states).u),
+    first = next(admm_states)
+    pd = PdhgmSolver(replace(problem, u0=first.u),
                      replace(cfg, max_iterations=iterations))
+    pd_states = pd.iterates(replace(pd.start(), eig_a=first.eig_a))
+    del first  # its v and mu would otherwise live through the walk
     return max(((pd_st.u - admm_st.u).norm() for admm_st, pd_st in
-                zip(admm_states, pd.iterates(pd.start()))), default=0.0)
+                zip(admm_states, pd_states)), default=0.0)

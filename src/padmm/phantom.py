@@ -168,7 +168,11 @@ def _spiral_lines(size: int, turns: float):
     r_max = math.sqrt(2.0) * size / 2.0
     theta_max = 2.0 * math.pi * turns
     # uniform theta sampling fine enough for ~0.3 px arc steps outermost
-    n_samples = max(int(theta_max * r_max / 0.3), 64)
+    n_samples = theta_max * r_max / 0.3
+    # n float64 samples must fit numpy's byte count; inf never does
+    if not n_samples < np.iinfo(np.intp).max / 8:
+        raise MemoryError(f"sampling.turns {turns!r}: too many spiral samples")
+    n_samples = max(int(n_samples), 64)
     theta = np.linspace(0.0, theta_max, n_samples)
     r = r_max * theta / theta_max
     px = center + r * np.cos(theta)

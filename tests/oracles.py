@@ -234,17 +234,18 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
     c = F.target
 
     a = F.jac_u(state.u, state.v)
-    tau1 = solver.step_size(a, "a")
+    tau1, eig_a = solver.step_size(a, state.eig_a)
     u_new = solver.prox_h.apply(state.u - tau1 * a.adjoint(state.mu_bar), tau1)
     del a
 
     b = F.jac_v(u_new, state.v)
+    eig_b = state.eig_b
     if cfg.tau2_override is not None:
         tau2 = cfg.tau2_override
     elif F.jac_v_is_neg_identity:
         tau2 = 1.0 / cfg.delta
     else:
-        tau2 = solver.step_size(b, "b")
+        tau2, eig_b = solver.step_size(b, eig_b)
 
     f_new = F.partial(u_new)
     v_new = solver.prox_j.apply(
@@ -259,6 +260,7 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
     return SolverState(
         u=u_new, v=v_new, mu=mu_new, mu_bar=mu_bar_new,
         k=state.k + 1, tau1=tau1, tau2=tau2, residual=full_res.norm(),
+        eig_a=eig_a, eig_b=eig_b,
     )
 
 
@@ -272,12 +274,12 @@ def reference_pdhgm_step(solver, state: SolverState) -> SolverState:
     mu_bar = 2.0 * mu_new - state.mu
 
     jac = p.g.jac(state.u)
-    tau1 = solver.step_size(jac, "a")
+    tau1, eig_a = solver.step_size(jac, state.eig_a)
     u_new = p.prox_h.apply(state.u - tau1 * jac.adjoint(mu_bar), tau1)
     return SolverState(
         u=u_new, v=None, mu=mu_new, mu_bar=mu_bar, k=state.k + 1,
         tau1=tau1, tau2=1.0 / cfg.delta,
-        residual=(mu_new - state.mu).norm() / cfg.delta,
+        residual=(mu_new - state.mu).norm() / cfg.delta, eig_a=eig_a,
     )
 
 

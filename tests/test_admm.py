@@ -1,9 +1,12 @@
+import ast
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import padmm
 from padmm.admm import AdmmSolver, Problem, SolverConfig, SolverState, run
 from padmm.blocks import BlockVector, random_like
 from padmm.constraint import LinearMap
@@ -122,6 +125,36 @@ class TestDeterminism:
             results.append(state)
         assert np.array_equal(results[0].u[0], results[1].u[0])
         assert np.array_equal(results[0].mu[0], results[1].mu[0])
+
+    def test_no_solver_method_writes_to_the_solver(self):
+        # what one step hands the next travels in its state, so a run
+        # depends on its start alone, however often the solver ran
+        trees = [(path.name, ast.parse(path.read_text())) for path in
+                 sorted(Path(padmm.__file__).parent.glob("*.py"))]
+        classes = [(name, node) for name, tree in trees
+                   for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        solvers, grown = {"Solver"}, True
+        while grown:  # subclasses of subclasses, in any module
+            found = {node.name for _, node in classes
+                     if {getattr(b, "id", None) for b in node.bases} & solvers}
+            solvers, grown = solvers | found, not found <= solvers
+        assert {"Solver", "AdmmSolver", "PdhgmSolver"} <= solvers
+        for name, cls in classes:
+            if cls.name not in solvers:
+                continue
+            for method in cls.body:
+                if (not isinstance(method, ast.FunctionDef)
+                        or method.name == "__init__"):
+                    continue
+                for node in ast.walk(method):
+                    # a store or del into self.x, self.x[i], self.x.y ...
+                    if (isinstance(node, (ast.Attribute, ast.Subscript))
+                            and not isinstance(node.ctx, ast.Load)):
+                        root = node.value
+                        while isinstance(root, (ast.Attribute, ast.Subscript)):
+                            root = root.value
+                        assert getattr(root, "id", None) != "self", (
+                            f"{name}:{node.lineno} {cls.name}.{method.name}")
 
 
 class TestSurrogateAlgebra:

@@ -709,3 +709,17 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("turns", [1.0e16, 1.0e308])
+def test_spiral_too_long_to_sample_exits_2(tmp_path, capsys, turns):
+    # the sample count is checked before numpy is asked for the samples:
+    # 1e16 turns are more than an array can hold, 1e308 overflow to inf
+    config = tmp_path / "turns.yaml"
+    config.write_text(yaml.safe_dump({
+        "phantom": {"size": 16}, "coils": {"count": 2},
+        "sampling": {"turns": turns}, "output": str(tmp_path / "out")}))
+    assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: sampling.turns ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

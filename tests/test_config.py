@@ -87,8 +87,8 @@ def test_the_table_lists_every_key_of_the_walkthrough():
 
 def test_the_table_covers_every_setting():
     settable = {field for _, field, _ in ROWS}
-    # the two solver fields no config key sets
-    library_only = {"solver.tau2_override", "solver.warm_start_opnorm"}
+    # the solver field no config key sets
+    library_only = {"solver.tau2_override"}
     assert settable | library_only == set(_fields(ExperimentConfig()))
 
 

@@ -119,7 +119,8 @@ class TestCoilGradOperator:
         monkeypatch.setattr(padmm.admm, "estimate_opnorm", recorded_estimate)
         fused = replace(jac, apply=refuse, adjoint=refuse, normal=counted_normal)
         composed = replace(jac, normal=None)
-        taus = [Solver(SolverConfig()).step_size(m, "a") for m in (fused, composed)]
+        taus = [Solver(SolverConfig()).step_size(m, None)[0]
+                for m in (fused, composed)]
         fast, slow = estimates
         assert len(normal_calls) == fast.iterations > 1
         assert taus[0] == taus[1]

@@ -317,9 +317,9 @@ class TestSeparableConstraintAdapter:
 class TestSolverParity:
     """Both step rules run in one driver, so their reports mean the same."""
 
-    def test_residuals_match_admm_index_for_index(self):
-        # the equivalence_check setting on the criterion-5 MRI instance:
-        # ADMM (B = -I gives tau2 = 1/delta), PDHGM started from its u^1
+    @staticmethod
+    def mri_instance():
+        """The criterion-5 MRI instance and its solver settings."""
         exp = config_from_dict({
             "phantom": {"size": 16},
             "coils": {"count": 2, "seed": 1},
@@ -329,24 +329,55 @@ class TestSolverParity:
                        "power_iter_max": 300},
             "weights": {"lam": 0.0621, "alpha0": 0.062, "alpha": 0.9317},
         })
-        problem = separable_problem(mri_problem(simulate(exp), exp))
+        return separable_problem(mri_problem(simulate(exp), exp)), exp.solver
+
+    def test_residuals_match_admm_index_for_index(self):
+        # the equivalence_check setting: ADMM (B = -I gives
+        # tau2 = 1/delta), PDHGM started from its u^1 and eigenvector
+        problem, cfg = self.mri_instance()
         iterations = 50
-        cfg = replace(exp.solver, warm_start_opnorm=False,
-                      max_iterations=iterations)
+        cfg = replace(cfg, max_iterations=iterations)
         ap = problem.as_admm_problem()
         admm_solver = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
                                  replace(cfg, max_iterations=iterations + 1))
         admm_states = list(admm_solver.iterates(
             admm_solver.start(ap.u0, ap.v0, ap.mu0)))
         pd_solver = PdhgmSolver(replace(problem, u0=admm_states[0].u), cfg)
-        pd_states = list(pd_solver.iterates(pd_solver.start()))
+        pd_states = list(pd_solver.iterates(
+            replace(pd_solver.start(), eig_a=admm_states[0].eig_a)))
 
         assert len(pd_states) == iterations
         for pd, admm in zip(pd_states, admm_states):
             assert abs(pd.residual - admm.residual) <= 1e-12 * admm.residual
+        # iterate k is linearised where ADMM iterate k + 1 is, its power
+        # iteration warm-started alike: tau1 is equal at the hand-off and
+        # later moves only by the rounding between the u-sequences (a
+        # fresh dual-first start would be 7e-5 off)
+        assert pd_states[0].tau1 == admm_states[1].tau1
+        for pd, admm in zip(pd_states, admm_states[1:]):
+            assert abs(pd.tau1 - admm.tau1) <= 1e-14 * admm.tau1
         assert [st.tau2 for st in pd_states] == [1.0 / cfg.delta] * iterations
         assert ([st.tau2 for st in admm_states]
                 == [1.0 / cfg.delta] * (iterations + 1))
+
+    @pytest.mark.parametrize("algorithm", ["admm", "pdhgm"])
+    def test_a_second_run_repeats_the_first(self, algorithm):
+        # the solver keeps no warm start between runs: each run's power
+        # iterations start fresh from the seed, as a new solver's do
+        problem, cfg = self.mri_instance()
+        cfg = replace(cfg, max_iterations=10)
+        if algorithm == "admm":
+            ap = problem.as_admm_problem()
+            solver = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j, cfg)
+            runs = [solver.run(ap.u0, ap.v0, ap.mu0) for _ in range(2)]
+            runs = [(state.u, state.mu, report) for state, report in runs]
+        else:
+            solver = PdhgmSolver(problem, cfg)
+            runs = [solver.run() for _ in range(2)]
+        (u1, mu1, first), (u2, mu2, second) = runs
+        for x, y in zip(u1.blocks + mu1.blocks, u2.blocks + mu2.blocks):
+            assert bit_identical(x, y)
+        assert second.residuals == first.residuals
 
     @pytest.mark.parametrize("algorithm", ["admm", "pdhgm"])
     def test_stream_raises_the_abort_run_reports(self, algorithm):

@@ -20,7 +20,7 @@ from oracles import (CallableConstraint, QuadraticAnchorProx, bit_identical,
 from test_pdhgm import denoising_problem
 
 STEPS = 6
-FIELDS = ("u", "v", "mu", "mu_bar")
+FIELDS = ("u", "v", "mu", "mu_bar", "eig_a", "eig_b")
 
 
 def small_mri(delta, size=16, coils=2, turns=3.0):
