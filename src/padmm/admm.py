@@ -4,12 +4,16 @@ One iteration, in order:
 
 1. freeze the u-Jacobian A at (u^k, v^k) and set tau1 = theta / (delta ||A||^2),
 2. u^{k+1} = prox_H(u^k - tau1 A* mubar^k),
-3. freeze the v-Jacobian B at (u^{k+1}, v^k) and set tau2 analogously;
-   when B = -I, tau2 = 1/delta instead (the exact v-minimization,
-   Q2 = 0), and a configured override takes precedence over both,
+3. freeze the v-Jacobian B at (u^{k+1}, v^k) and set tau2 analogously,
+   or to a configured override,
 4. v^{k+1} = prox_J(v^k - tau2 B* (mu^k + delta (F(u^{k+1}, v^k) - c))),
 5. mu^{k+1} = mu^k + delta (F(u^{k+1}, v^{k+1}) - c),
 6. mubar^{k+1} = 2 mu^{k+1} - mu^k.
+
+On a separable F(u, v) = G(u) - v (B = -I), tau2 = 1/delta, the exact
+v-minimization (Q2 = 0), cancels v from step 4, and by Moreau's identity
+steps 3-5 are the dual-first mu-update :func:`padmm.pdhgm.ascend` at
+G(u^{k+1}) - c.  No step reads v, so the state carries ``v = None``.
 
 The quadratic surrogates that make the subproblems explicit are never
 formed as matrices; their effect is exactly the proximal form above, with
@@ -32,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import BlockVector, detached
-from .constraint import LinearMap, NonlinearConstraint
+from .constraint import LinearMap, NonlinearConstraint, SeparableConstraint
 from .opnorm import estimate_opnorm, fresh_start
 from .prox import ProxOp
 
@@ -60,13 +64,17 @@ class SolverConfig:
             raise ValueError("power_iter_max must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.tau2_override is not None and not (
+                math.isfinite(self.tau2_override) and self.tau2_override > 0):
+            raise ValueError("tau2_override must be positive and finite")
 
 
 @dataclass
 class SolverState:
     """Iterate after ``k`` steps; ``residual`` is ||F(u, v) - c||.
 
-    The dual-first step eliminates v, so its states carry ``v = None``.
+    The dual-first step and the ADMM step on a separable constraint
+    eliminate v, so their states carry ``v = None``.
     ``eig_a``/``eig_b`` warm-start the next power iteration on the u-/v-
     Jacobian, with its last eigenvector; ``None`` starts it from the seed.
     """
@@ -122,7 +130,7 @@ class Problem:
     prox_h: ProxOp
     prox_j: ProxOp
     u0: BlockVector
-    v0: BlockVector
+    v0: Optional[BlockVector]
     mu0: BlockVector
 
 
@@ -178,10 +186,14 @@ class Solver:
 
 
 class AdmmSolver(Solver):
-    """The preconditioned ADMM step on a general constraint F(u, v) = c."""
+    """The preconditioned ADMM step on a constraint F(u, v) = c."""
 
     def __init__(self, constraint: NonlinearConstraint, prox_h: ProxOp,
                  prox_j: ProxOp, cfg: SolverConfig):
+        if (isinstance(constraint, SeparableConstraint)
+                and cfg.tau2_override not in (None, 1.0 / cfg.delta)):
+            raise ValueError("a separable constraint takes tau2 = 1/delta; "
+                             f"tau2_override is {cfg.tau2_override!r}")
         super().__init__(cfg)
         self.constraint = constraint
         self.prox_h = prox_h
@@ -190,27 +202,31 @@ class AdmmSolver(Solver):
     def step(self, state: SolverState) -> SolverState:
         cfg = self.cfg
         F = self.constraint
-        delta, c = cfg.delta, F.target.blocks
+        delta = cfg.delta
 
         a = F.jac_u(state.u, state.v)
         tau1, eig_a = self.step_size(a, state.eig_a)
         u_new = descend(a, tau1, state.u, state.mu_bar, self.prox_h)
         del a  # frees the Jacobian's scratch before the v-step's temporaries
 
+        if isinstance(F, SeparableConstraint):
+            from .pdhgm import ascend  # pdhgm imports this module
+            mu, mu_bar, residual = ascend(F.g, u_new, state.mu, self.prox_j,
+                                          delta, F.target)
+            return SolverState(
+                u=u_new, v=None, mu=mu, mu_bar=mu_bar, k=state.k + 1,
+                tau1=tau1, tau2=1.0 / delta, residual=residual, eig_a=eig_a)
+
         b = F.jac_v(u_new, state.v)
         eig_b = state.eig_b
         if cfg.tau2_override is not None:
             tau2 = cfg.tau2_override
-        elif F.jac_v_is_neg_identity:
-            tau2 = 1.0 / cfg.delta
         else:
             tau2, eig_b = self.step_size(b, eig_b)
 
-        # F(u^{k+1}, .) for both residuals; a separable F evaluates G once
-        f_new = F.partial(u_new)
         # t = mu + delta (F(u^{k+1}, v^k) - c)
-        t = detached(f_new(state.v), u_new, state.v)
-        for ti, ci, mi in zip(t.blocks, c, state.mu.blocks):
+        t = detached(F.evaluate(u_new, state.v), u_new, state.v)
+        for ti, ci, mi in zip(t.blocks, F.target.blocks, state.mu.blocks):
             np.subtract(ti, ci, out=ti)
             np.multiply(delta, ti, out=ti)
             np.add(mi, ti, out=ti)
@@ -224,9 +240,8 @@ class AdmmSolver(Solver):
         del y, yi
 
         # r = F(u^{k+1}, v^{k+1}) - c, then mu^{k+1} = mu + delta r in r
-        r = detached(f_new(v_new), u_new, v_new)
-        del f_new  # frees G(u^{k+1})
-        for ri, ci in zip(r.blocks, c):
+        r = detached(F.evaluate(u_new, v_new), u_new, v_new)
+        for ri, ci in zip(r.blocks, F.target.blocks):
             np.subtract(ri, ci, out=ri)
         residual = r.norm()
         for ri, mi in zip(r.blocks, state.mu.blocks):
@@ -239,12 +254,14 @@ class AdmmSolver(Solver):
         )
 
     @staticmethod
-    def start(u0: BlockVector, v0: BlockVector, mu0: BlockVector) -> SolverState:
+    def start(u0: BlockVector, v0: Optional[BlockVector],
+              mu0: BlockVector) -> SolverState:
         """The state before the first step, in arrays of its own."""
-        return SolverState(u0.copy(), v0.copy(), mu0.copy(), mu0.copy())
+        return SolverState(u0.copy(), None if v0 is None else v0.copy(),
+                           mu0.copy(), mu0.copy())
 
-    def run(self, u0: BlockVector, v0: BlockVector, mu0: BlockVector,
-            callbacks: Optional[list] = None):
+    def run(self, u0: BlockVector, v0: Optional[BlockVector],
+            mu0: BlockVector, callbacks: Optional[list] = None):
         return self._drive(self.start(u0, v0, mu0), callbacks)
 
 

@@ -23,10 +23,6 @@ class BlockVector:
     def zeros(cls, shapes) -> "BlockVector":
         return cls([np.zeros(s, dtype=np.complex128) for s in shapes])
 
-    @classmethod
-    def zeros_like(cls, other: "BlockVector") -> "BlockVector":
-        return cls.zeros(other.shapes)
-
     @property
     def shapes(self):
         return tuple(b.shape for b in self.blocks)

@@ -40,15 +40,10 @@ class NonlinearConstraint:
     """Constraint F(u, v) = c with blockwise Jacobian apply/adjoint.
 
     Subclasses implement ``evaluate``, ``jac_u`` and ``jac_v``; ``target``
-    is the right-hand side c.  ``partial(u)`` is v -> F(u, v); a subclass
-    overrides it to compute the part that depends on u alone once.  Like
-    ``evaluate``, it returns a vector the caller may overwrite: fresh
-    arrays, or an argument itself, never an array the constraint keeps.  A
-    subclass whose v-Jacobian is -I at every base point sets
-    ``jac_v_is_neg_identity``, so the ADMM takes the exact v-minimisation.
+    is the right-hand side c.  ``evaluate`` returns a vector the caller
+    may overwrite: fresh arrays, or an argument itself, never an array the
+    constraint keeps.
     """
-
-    jac_v_is_neg_identity = False
 
     def __init__(self, target: BlockVector):
         self.target = target
@@ -56,11 +51,45 @@ class NonlinearConstraint:
     def evaluate(self, u: BlockVector, v: BlockVector) -> BlockVector:
         raise NotImplementedError
 
-    def partial(self, u: BlockVector) -> Callable[[BlockVector], BlockVector]:
-        return lambda v: self.evaluate(u, v)
-
     def jac_u(self, u: BlockVector, v: BlockVector) -> LinearMap:
         raise NotImplementedError
 
     def jac_v(self, u: BlockVector, v: BlockVector) -> LinearMap:
         raise NotImplementedError
+
+
+class SeparableOperator:
+    """Nonlinear map G(u) with a matrix-free Jacobian.
+
+    ``evaluate`` returns a vector the caller may overwrite: fresh arrays,
+    or its argument itself, never an array the operator keeps.
+    """
+
+    def evaluate(self, u: BlockVector) -> BlockVector:
+        raise NotImplementedError
+
+    def jac(self, u: BlockVector) -> LinearMap:
+        raise NotImplementedError
+
+
+class SeparableConstraint(NonlinearConstraint):
+    """F(u, v) = G(u) - v = c; the v-Jacobian is -I at every base point.
+
+    ``target`` None stands for c = 0 and holds no vector.  The ADMM
+    keys its v-free step on this class.
+    """
+
+    def __init__(self, g: SeparableOperator,
+                 target: Optional[BlockVector] = None):
+        super().__init__(target)
+        self.g = g
+
+    def evaluate(self, u, v):
+        return self.g.evaluate(u) - v
+
+    def jac_u(self, u, v):
+        return self.g.jac(u)
+
+    def jac_v(self, u, v):
+        return LinearMap(apply=lambda h: -h, adjoint=lambda w: -w,
+                         domain_shapes=v.shapes, codomain_shapes=v.shapes)

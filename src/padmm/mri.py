@@ -8,8 +8,9 @@ density.  The splitting variable v carries 2n + 1 blocks:
 * v_{n+1} .. v_{2n}: the gradients of the coil maps (smooth 2-norm).
 
 The constraint is F(u, v) = [C(u); grad u_0; ...; grad c_n] - v = 0 with
-C the bilinear coil operator (u_0 c_1, ..., u_0 c_n); its v-Jacobian is
--I so the tau2 = 1/delta fast path applies.
+C the bilinear coil operator (u_0 c_1, ..., u_0 c_n).  It is separable
+(v-Jacobian -I), so the ADMM step eliminates v and is the dual-first
+step's two halves in the other order.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
-from .constraint import LinearMap
+from .constraint import LinearMap, SeparableOperator
 from .fields import grad, grad_adjoint, grad_normal
-from .pdhgm import SeparableOperator, SeparableProblem
+from .pdhgm import SeparableProblem
 from .prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                    IdentityProx, SeparableSumProx)
 

@@ -9,11 +9,10 @@ variable:
     mubar^{k+1} = 2 mu^{k+1} - mu^k,
     u^{k+1}    = prox_H(u^k - tau1 JG(u^k)* mubar^{k+1}).
 
-This module also provides the harness that checks the reordered
-iteration against the ADMM solver: the reordered mu-update at step k
-consumes u^k where the ADMM consumed u^{k+1}, so after shifting the
-u-sequences by one the iterates coincide.  It walks the two streams
-of iterates in lockstep, so it holds a few states at any length.
+The ADMM step on a separable constraint is :func:`descend`, then this
+mu-update, :func:`ascend`, at u^{k+1}.  So after shifting the
+u-sequences by one the iterates coincide bit for bit, which the harness
+here checks by walking the two streams of iterates in lockstep.
 """
 
 from __future__ import annotations
@@ -26,53 +25,30 @@ import numpy as np
 from .admm import (AdmmSolver, Problem, Solver, SolverConfig, SolverState,
                    descend, extrapolate)
 from .blocks import BlockVector, detached
-from .constraint import LinearMap, NonlinearConstraint
+from .constraint import SeparableConstraint, SeparableOperator
 # unused here, but benchmarks/spans.py patches and checks this attribute
 from .opnorm import estimate_opnorm  # noqa: F401
 from .prox import ProxOp, conjugate_apply
 
 
-class SeparableOperator:
-    """Nonlinear map G(u) with a matrix-free Jacobian.
-
-    ``evaluate`` returns a vector the caller may overwrite: fresh arrays,
-    or its argument itself, never an array the operator keeps.
-    """
-
-    def evaluate(self, u: BlockVector) -> BlockVector:
-        raise NotImplementedError
-
-    def jac(self, u: BlockVector) -> LinearMap:
-        raise NotImplementedError
-
-
-class SeparableConstraint(NonlinearConstraint):
-    """F(u, v) = G(u) - v; the v-Jacobian is -I at every base point."""
-
-    jac_v_is_neg_identity = True
-
-    def __init__(self, g: SeparableOperator, target: BlockVector):
-        super().__init__(target)
-        self.g = g
-
-    def evaluate(self, u, v):
-        return self.partial(u)(v)
-
-    def partial(self, u):
-        gu = self.g.evaluate(u)
-        return lambda v: gu - v
-
-    def jac_u(self, u, v):
-        return self.g.jac(u)
-
-    def jac_v(self, u, v):
-        shapes = self.target.shapes
-        return LinearMap(
-            apply=lambda h: -h,
-            adjoint=lambda w: -w,
-            domain_shapes=shapes,
-            codomain_shapes=shapes,
-        )
+def ascend(g: SeparableOperator, u: BlockVector, mu: BlockVector,
+           prox_j: ProxOp, delta: float,
+           target: Optional[BlockVector] = None):
+    """The mu-half at u: (mu+, mubar+, ||mu+ - mu|| / delta), where mu+ =
+    (I + delta dJ*)^{-1}(b), b = mu + delta (G(u) - c) and c is ``target``
+    (0 when None); b, then mu+ - mu, are written into G(u)'s blocks."""
+    b = detached(g.evaluate(u), u)
+    if target is not None:
+        for bi, ci in zip(b.blocks, target.blocks):
+            np.subtract(bi, ci, out=bi)
+    for bi, mi in zip(b.blocks, mu.blocks):
+        np.multiply(delta, bi, out=bi)
+        np.add(mi, bi, out=bi)
+    mu_new = conjugate_apply(prox_j, b, delta)
+    mu_bar = extrapolate(mu_new, mu)
+    for bi, ni, mi in zip(b.blocks, mu_new.blocks, mu.blocks):
+        np.subtract(ni, mi, out=bi)
+    return mu_new, mu_bar, b.norm() / delta
 
 
 @dataclass
@@ -84,46 +60,26 @@ class SeparableProblem:
     mu0: BlockVector
 
     def as_admm_problem(self) -> Problem:
-        """The same problem for the ADMM, as G(u) - v = 0 from v = 0."""
-        return Problem(
-            constraint=SeparableConstraint(
-                self.g, BlockVector.zeros_like(self.mu0)),
-            prox_h=self.prox_h,
-            prox_j=self.prox_j,
-            u0=self.u0,
-            v0=BlockVector.zeros_like(self.mu0),
-            mu0=self.mu0,
-        )
+        """The same problem for the ADMM, as G(u) - v = 0; its steps
+        carry no v, so it starts from none."""
+        return Problem(constraint=SeparableConstraint(self.g),
+                       prox_h=self.prox_h, prox_j=self.prox_j,
+                       u0=self.u0, v0=None, mu0=self.mu0)
 
 
 class PdhgmSolver(Solver):
-    """The dual-first step; its state carries no v.
-
-    Its residual ||mu^{k+1} - mu^k|| / delta is ||G(u^k) - v^{k+1}||,
-    the constraint residual of the eliminated v, which is what the ADMM
-    records; tau2 is the 1/delta that elimination assumes.
-    """
+    """The dual-first step; its state carries no v.  Its residual, as the
+    ADMM's, is ||mu^{k+1} - mu^k|| / delta = ||G(u^k) - v^{k+1}||, for the
+    eliminated v; tau2 is the 1/delta that elimination assumes."""
 
     def __init__(self, problem: SeparableProblem, cfg: SolverConfig):
         super().__init__(cfg)
         self.problem = problem
 
     def step(self, state: SolverState) -> SolverState:
-        p, cfg = self.problem, self.cfg
-        delta = cfg.delta
-        # b = mu + delta G(u^k), in G(u^k)'s blocks
-        b = detached(p.g.evaluate(state.u), state.u)
-        for bi, mi in zip(b.blocks, state.mu.blocks):
-            np.multiply(delta, bi, out=bi)
-            np.add(mi, bi, out=bi)
-        mu_new = conjugate_apply(p.prox_j, b, delta)
-        mu_bar = extrapolate(mu_new, state.mu)
-        # b is spent: mu^{k+1} - mu^k goes into its blocks
-        for bi, ni, mi in zip(b.blocks, mu_new.blocks, state.mu.blocks):
-            np.subtract(ni, mi, out=bi)
-        residual = b.norm() / delta
-        del b, bi
-
+        p, delta = self.problem, self.cfg.delta
+        mu_new, mu_bar, residual = ascend(p.g, state.u, state.mu, p.prox_j,
+                                          delta)
         jac = p.g.jac(state.u)
         tau1, eig_a = self.step_size(jac, state.eig_a)
         u_new = descend(jac, tau1, state.u, mu_bar, p.prox_h)
@@ -164,6 +120,6 @@ def equivalence_check(problem: SeparableProblem, cfg: SolverConfig,
     pd = PdhgmSolver(replace(problem, u0=first.u),
                      replace(cfg, max_iterations=iterations))
     pd_states = pd.iterates(replace(pd.start(), eig_a=first.eig_a))
-    del first  # its v and mu would otherwise live through the walk
+    del first  # its mu and mu_bar would otherwise live through the walk
     return max(((pd_st.u - admm_st.u).norm() for admm_st, pd_st in
                 zip(admm_states, pd_states)), default=0.0)

@@ -12,9 +12,9 @@ import numpy as np
 
 from padmm.admm import SolverState
 from padmm.blocks import BlockVector, random_like
-from padmm.constraint import LinearMap, NonlinearConstraint
+from padmm.constraint import (LinearMap, NonlinearConstraint,
+                              SeparableConstraint, SeparableOperator)
 from padmm.fields import grad, grad_adjoint
-from padmm.pdhgm import SeparableOperator
 from padmm.phantom import FRACTION_TOL, MaskFractionError
 from padmm.prox import ProxOp
 
@@ -228,7 +228,8 @@ class QuadraticAnchorProx(ProxOp):
 def reference_admm_step(solver, state: SolverState) -> SolverState:
     """Reference ``AdmmSolver.step``: each update as BlockVector
     arithmetic, the same operations in the same order, so the states
-    agree bit for bit."""
+    agree bit for bit.  On a separable constraint it is the u-step, then
+    the reference dual-first mu-half at G(u^{k+1}) - c."""
     cfg = solver.cfg
     F = solver.constraint
     c = F.target
@@ -238,23 +239,29 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
     u_new = solver.prox_h.apply(state.u - tau1 * a.adjoint(state.mu_bar), tau1)
     del a
 
+    if isinstance(F, SeparableConstraint):
+        g_u = F.g.evaluate(u_new)
+        mu_new, mu_bar_new, residual = reference_ascend(
+            solver.prox_j, cfg.delta, g_u if c is None else g_u - c, state.mu)
+        return SolverState(
+            u=u_new, v=None, mu=mu_new, mu_bar=mu_bar_new, k=state.k + 1,
+            tau1=tau1, tau2=1.0 / cfg.delta, residual=residual, eig_a=eig_a,
+        )
+
     b = F.jac_v(u_new, state.v)
     eig_b = state.eig_b
     if cfg.tau2_override is not None:
         tau2 = cfg.tau2_override
-    elif F.jac_v_is_neg_identity:
-        tau2 = 1.0 / cfg.delta
     else:
         tau2, eig_b = solver.step_size(b, eig_b)
 
-    f_new = F.partial(u_new)
     v_new = solver.prox_j.apply(
         state.v - tau2 * b.adjoint(
-            state.mu + cfg.delta * (f_new(state.v) - c)),
+            state.mu + cfg.delta * (F.evaluate(u_new, state.v) - c)),
         tau2,
     )
 
-    full_res = f_new(v_new) - c
+    full_res = F.evaluate(u_new, v_new) - c
     mu_new = state.mu + cfg.delta * full_res
     mu_bar_new = 2.0 * mu_new - state.mu
     return SolverState(
@@ -264,22 +271,26 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
     )
 
 
+def reference_ascend(prox_j, delta, g_u, mu):
+    """Reference :func:`padmm.pdhgm.ascend` at g_u = G(u) - c, with the
+    conjugate resolvent written out as w - delta prox(w / delta)."""
+    b = mu + delta * g_u
+    mu_new = b - delta * prox_j.apply((1.0 / delta) * b, 1.0 / delta)
+    return mu_new, 2.0 * mu_new - mu, (mu_new - mu).norm() / delta
+
+
 def reference_pdhgm_step(solver, state: SolverState) -> SolverState:
-    """Reference ``PdhgmSolver.step``, with the conjugate resolvent
-    written out as w - delta prox(w / delta)."""
+    """Reference ``PdhgmSolver.step``: the mu-half, then the u-step."""
     p, cfg = solver.problem, solver.cfg
-    b = state.mu + cfg.delta * p.g.evaluate(state.u)
-    mu_new = b - cfg.delta * p.prox_j.apply((1.0 / cfg.delta) * b,
-                                            1.0 / cfg.delta)
-    mu_bar = 2.0 * mu_new - state.mu
+    mu_new, mu_bar, residual = reference_ascend(
+        p.prox_j, cfg.delta, p.g.evaluate(state.u), state.mu)
 
     jac = p.g.jac(state.u)
     tau1, eig_a = solver.step_size(jac, state.eig_a)
     u_new = p.prox_h.apply(state.u - tau1 * jac.adjoint(mu_bar), tau1)
     return SolverState(
         u=u_new, v=None, mu=mu_new, mu_bar=mu_bar, k=state.k + 1,
-        tau1=tau1, tau2=1.0 / cfg.delta,
-        residual=(mu_new - state.mu).norm() / cfg.delta, eig_a=eig_a,
+        tau1=tau1, tau2=1.0 / cfg.delta, residual=residual, eig_a=eig_a,
     )
 
 

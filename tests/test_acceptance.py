@@ -310,7 +310,7 @@ class TestCriterion8:
 
     def _one_step(self, problem, cfg, u):
         """Coil changes of one PDHGM and one matching ADMM step from u."""
-        mu0 = BlockVector.zeros_like(problem.mu0)
+        mu0 = BlockVector.zeros(problem.mu0.shapes)
         pd = PdhgmSolver(problem, cfg).step(
             SolverState(u=u, v=None, mu=mu0, mu_bar=mu0))
         ap = problem.as_admm_problem()

@@ -334,6 +334,8 @@ class TestConfigValidation:
         {"delta": float("nan")}, {"delta": float("inf")},
         {"theta": float("nan")},
         {"power_iter_tol": float("nan")}, {"power_iter_tol": -1.0},
+        {"tau2_override": -1.0}, {"tau2_override": 0.0},
+        {"tau2_override": float("nan")}, {"tau2_override": float("inf")},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):

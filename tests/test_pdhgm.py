@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from padmm.blocks import BlockVector, random_like
-from padmm.constraint import LinearMap
+from padmm.constraint import LinearMap, SeparableConstraint
 from padmm.mri import separable_problem
-from padmm.pdhgm import (PdhgmSolver, SeparableConstraint, SeparableProblem,
-                         equivalence_check)
+from padmm.pdhgm import PdhgmSolver, SeparableProblem, equivalence_check
 from padmm.admm import AdmmSolver, SolverAborted, SolverConfig, SolverState
 from padmm.pipeline import config_from_dict, mri_problem, simulate
 from padmm.prox import IdentityProx, conjugate_apply
@@ -265,20 +264,20 @@ class TestEquivalence:
 
 
 class TestSeparableConstraintAdapter:
-    def test_flag_and_jacobians(self):
+    def test_value_and_jacobians(self):
         shapes = ((2, 2),)
         g = identity_operator(shapes)
-        F = SeparableConstraint(g, BlockVector.zeros(shapes))
-        assert F.jac_v_is_neg_identity
+        F = SeparableConstraint(g)
+        assert F.target is None
         rng = np.random.default_rng(6)
         u = random_like(BlockVector.zeros(shapes), rng)
         v = random_like(BlockVector.zeros(shapes), rng)
         assert (F.evaluate(u, v) - (u - v)).norm() == 0
         h = random_like(BlockVector.zeros(shapes), rng)
         assert (F.jac_v(u, v).apply(h) + h).norm() == 0
+        assert (F.jac_v(u, v).adjoint(h) + h).norm() == 0
 
     def test_admm_step_evaluates_g_once(self):
-        # partial(u) computes G(u) once for both residuals of an ADMM step
         shapes = ((2, 2),)
         rng = np.random.default_rng(7)
         evaluations = []
@@ -289,16 +288,8 @@ class TestSeparableConstraintAdapter:
 
         double = LinearMap(lambda h: 2.0 * h, lambda w: 2.0 * w, shapes, shapes)
         g = CallableOperator(evaluate=evaluate, jac=lambda u: double)
-        F = SeparableConstraint(g, BlockVector.zeros(shapes))
-        u = random_like(BlockVector.zeros(shapes), rng)
-        v = random_like(BlockVector.zeros(shapes), rng)
-        f = F.partial(u)
-        assert bit_identical(f(v)[0], F.evaluate(u, v)[0])
-        assert bit_identical(f(-v)[0], F.evaluate(u, -v)[0])
-
         anchor = random_like(BlockVector.zeros(shapes), rng)
         ap = replace(denoising_problem(shapes, anchor), g=g).as_admm_problem()
-        evaluations.clear()
         _, report = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
                                SolverConfig(max_iterations=3)).run(
             ap.u0, ap.v0, ap.mu0)
@@ -306,12 +297,37 @@ class TestSeparableConstraintAdapter:
         assert len(evaluations) == 3
 
     def test_as_admm_problem_layout(self):
+        # the separable ADMM carries no v, so neither v0 nor a zero target
+        # is a vector
         shapes = ((2, 2),)
         problem = denoising_problem(shapes, BlockVector.zeros(shapes))
         ap = problem.as_admm_problem()
-        assert ap.v0.shapes == problem.mu0.shapes
-        assert ap.v0.norm() == 0
+        assert isinstance(ap.constraint, SeparableConstraint)
+        assert ap.constraint.target is None
+        assert ap.v0 is None
         assert ap.u0 is problem.u0
+
+    def test_separable_states_carry_no_v(self):
+        problem = denoising_problem(((3,),), BlockVector([np.ones(3, complex)]))
+        ap = problem.as_admm_problem()
+        solver = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
+                            SolverConfig(delta=0.7, max_iterations=4))
+        start = solver.start(ap.u0, ap.v0, ap.mu0)
+        states = list(solver.iterates(start))
+        assert len(states) == 4
+        assert all(st.v is None for st in [start] + states)
+        assert all(st.tau2 == 1.0 / 0.7 for st in states)
+
+    @pytest.mark.parametrize("tau2", [0.5, 1.0 / 0.7 * (1 + 1e-15), 2.0])
+    def test_tau2_other_than_one_over_delta_rejected(self, tau2):
+        ap = denoising_problem(((3,),), BlockVector.zeros(((3,),))
+                               ).as_admm_problem()
+        with pytest.raises(ValueError, match="tau2"):
+            AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
+                       SolverConfig(delta=0.7, tau2_override=tau2))
+        # the one override the exact v-step allows is accepted
+        AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
+                   SolverConfig(delta=0.7, tau2_override=1.0 / 0.7))
 
 
 class TestSolverParity:
@@ -347,15 +363,14 @@ class TestSolverParity:
             replace(pd_solver.start(), eig_a=admm_states[0].eig_a)))
 
         assert len(pd_states) == iterations
-        for pd, admm in zip(pd_states, admm_states):
-            assert abs(pd.residual - admm.residual) <= 1e-12 * admm.residual
-        # iterate k is linearised where ADMM iterate k + 1 is, its power
-        # iteration warm-started alike: tau1 is equal at the hand-off and
-        # later moves only by the rounding between the u-sequences (a
-        # fresh dual-first start would be 7e-5 off)
-        assert pd_states[0].tau1 == admm_states[1].tau1
-        for pd, admm in zip(pd_states, admm_states[1:]):
-            assert abs(pd.tau1 - admm.tau1) <= 1e-14 * admm.tau1
+        # the ADMM step is the dual-first step's halves in the other
+        # order: iterate k's mu-half is ADMM iterate k + 1's, and it is
+        # linearised where ADMM iterate k + 1 is, its power iteration
+        # warm-started alike (a fresh dual-first start would be 7e-5 off)
+        assert ([pd.residual for pd in pd_states]
+                == [admm.residual for admm in admm_states[:iterations]])
+        assert ([pd.tau1 for pd in pd_states]
+                == [admm.tau1 for admm in admm_states[1:]])
         assert [st.tau2 for st in pd_states] == [1.0 / cfg.delta] * iterations
         assert ([st.tau2 for st in admm_states]
                 == [1.0 / cfg.delta] * (iterations + 1))
@@ -436,5 +451,5 @@ class TestSolverParity:
             assert report.aborted
             assert report.iterations == 0
             assert report.residuals == []
-        assert admm_first.v.isfinite()
+        assert admm_first.v is None
         assert pd.abort_message == admm.abort_message
