@@ -10,10 +10,11 @@ One iteration, in order:
 5. mu^{k+1} = mu^k + delta (F(u^{k+1}, v^{k+1}) - c),
 6. mubar^{k+1} = 2 mu^{k+1} - mu^k.
 
-On a separable F(u, v) = G(u) - v (B = -I), tau2 = 1/delta, the exact
-v-minimization (Q2 = 0), cancels v from step 4, and by Moreau's identity
+The solver takes a separable F(u, v) = G(u) - v = 0 as G itself, a
+:class:`SeparableOperator`.  There B = -I, and tau2 = 1/delta, the exact
+v-minimization (Q2 = 0), cancels v from step 4; by Moreau's identity
 steps 3-5 are the dual-first mu-update :func:`padmm.pdhgm.ascend` at
-G(u^{k+1}) - c.  No step reads v, so the state carries ``v = None``.
+G(u^{k+1}).  No step reads v, so the state carries ``v = None``.
 
 The quadratic surrogates that make the subproblems explicit are never
 formed as matrices; their effect is exactly the proximal form above, with
@@ -29,6 +30,7 @@ arrays of its own, and no buffer lives on from one step to the next.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import BlockVector, detached
-from .constraint import LinearMap, NonlinearConstraint, SeparableConstraint
+from .constraint import LinearMap, NonlinearConstraint, SeparableOperator
 from .opnorm import estimate_opnorm, fresh_start
 from .prox import ProxOp
 
@@ -56,13 +58,13 @@ class SolverConfig:
             raise ValueError("delta must be positive and finite")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if self.max_iterations < 0:
+        if operator.index(self.max_iterations) < 0:
             raise ValueError("max_iterations must be nonnegative")
         if not (math.isfinite(self.power_iter_tol) and self.power_iter_tol >= 0):
             raise ValueError("power_iter_tol must be nonnegative and finite")
-        if self.power_iter_max < 1:
+        if operator.index(self.power_iter_max) < 1:
             raise ValueError("power_iter_max must be at least 1")
-        if self.seed < 0:
+        if operator.index(self.seed) < 0:
             raise ValueError("seed must be nonnegative")
         if self.tau2_override is not None and not (
                 math.isfinite(self.tau2_override) and self.tau2_override > 0):
@@ -126,7 +128,7 @@ class SolverAborted(RuntimeError):
 class Problem:
     """A complete solver input: constraint, resolvents and initial point."""
 
-    constraint: NonlinearConstraint
+    constraint: NonlinearConstraint | SeparableOperator
     prox_h: ProxOp
     prox_j: ProxOp
     u0: BlockVector
@@ -186,11 +188,11 @@ class Solver:
 
 
 class AdmmSolver(Solver):
-    """The preconditioned ADMM step on a constraint F(u, v) = c."""
+    """The preconditioned ADMM step on F(u, v) = c, or on G(u) - v = 0."""
 
-    def __init__(self, constraint: NonlinearConstraint, prox_h: ProxOp,
-                 prox_j: ProxOp, cfg: SolverConfig):
-        if (isinstance(constraint, SeparableConstraint)
+    def __init__(self, constraint: NonlinearConstraint | SeparableOperator,
+                 prox_h: ProxOp, prox_j: ProxOp, cfg: SolverConfig):
+        if (isinstance(constraint, SeparableOperator)
                 and cfg.tau2_override not in (None, 1.0 / cfg.delta)):
             raise ValueError("a separable constraint takes tau2 = 1/delta; "
                              f"tau2_override is {cfg.tau2_override!r}")
@@ -204,15 +206,16 @@ class AdmmSolver(Solver):
         F = self.constraint
         delta = cfg.delta
 
-        a = F.jac_u(state.u, state.v)
+        separable = isinstance(F, SeparableOperator)
+        a = F.jac(state.u) if separable else F.jac_u(state.u, state.v)
         tau1, eig_a = self.step_size(a, state.eig_a)
         u_new = descend(a, tau1, state.u, state.mu_bar, self.prox_h)
         del a  # frees the Jacobian's scratch before the v-step's temporaries
 
-        if isinstance(F, SeparableConstraint):
+        if separable:
             from .pdhgm import ascend  # pdhgm imports this module
-            mu, mu_bar, residual = ascend(F.g, u_new, state.mu, self.prox_j,
-                                          delta, F.target)
+            mu, mu_bar, residual = ascend(F, u_new, state.mu, self.prox_j,
+                                          delta)
             return SolverState(
                 u=u_new, v=None, mu=mu, mu_bar=mu_bar, k=state.k + 1,
                 tau1=tau1, tau2=1.0 / delta, residual=residual, eig_a=eig_a)

@@ -1,4 +1,4 @@
-"""Nonlinear operator constraints F(u, v) = c and their Jacobians.
+"""Nonlinear constraints F(u, v) = c or G(u) - v = 0 and their Jacobians.
 
 Jacobians are exposed as matrix-free apply/adjoint pairs.  The scope is
 restricted to constraints that are holomorphic / multilinear in each
@@ -59,7 +59,8 @@ class NonlinearConstraint:
 
 
 class SeparableOperator:
-    """Nonlinear map G(u) with a matrix-free Jacobian.
+    """Nonlinear map G(u), the constraint G(u) - v = 0, with a matrix-free
+    Jacobian; the v-Jacobian is -I, so the ADMM steps without v on it.
 
     ``evaluate`` returns a vector the caller may overwrite: fresh arrays,
     or its argument itself, never an array the operator keeps.
@@ -70,26 +71,3 @@ class SeparableOperator:
 
     def jac(self, u: BlockVector) -> LinearMap:
         raise NotImplementedError
-
-
-class SeparableConstraint(NonlinearConstraint):
-    """F(u, v) = G(u) - v = c; the v-Jacobian is -I at every base point.
-
-    ``target`` None stands for c = 0 and holds no vector.  The ADMM
-    keys its v-free step on this class.
-    """
-
-    def __init__(self, g: SeparableOperator,
-                 target: Optional[BlockVector] = None):
-        super().__init__(target)
-        self.g = g
-
-    def evaluate(self, u, v):
-        return self.g.evaluate(u) - v
-
-    def jac_u(self, u, v):
-        return self.g.jac(u)
-
-    def jac_v(self, u, v):
-        return LinearMap(apply=lambda h: -h, adjoint=lambda w: -w,
-                         domain_shapes=v.shapes, codomain_shapes=v.shapes)

@@ -9,8 +9,8 @@ density.  The splitting variable v carries 2n + 1 blocks:
 
 The constraint is F(u, v) = [C(u); grad u_0; ...; grad c_n] - v = 0 with
 C the bilinear coil operator (u_0 c_1, ..., u_0 c_n).  It is separable
-(v-Jacobian -I), so the ADMM step eliminates v and is the dual-first
-step's two halves in the other order.
+(v-Jacobian -I): both solvers take G = :class:`CoilGradOperator`, and the
+ADMM step eliminates v, the dual-first step's two halves reordered.
 """
 
 from __future__ import annotations

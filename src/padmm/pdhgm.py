@@ -9,10 +9,10 @@ variable:
     mubar^{k+1} = 2 mu^{k+1} - mu^k,
     u^{k+1}    = prox_H(u^k - tau1 JG(u^k)* mubar^{k+1}).
 
-The ADMM step on a separable constraint is :func:`descend`, then this
-mu-update, :func:`ascend`, at u^{k+1}.  So after shifting the
-u-sequences by one the iterates coincide bit for bit, which the harness
-here checks by walking the two streams of iterates in lockstep.
+The ADMM, handed G itself, steps :func:`descend`, then this mu-update,
+:func:`ascend`, at u^{k+1}.  So after shifting the u-sequences by one
+the iterates coincide bit for bit, which the harness here checks by
+walking the two streams of iterates in lockstep.
 """
 
 from __future__ import annotations
@@ -25,22 +25,18 @@ import numpy as np
 from .admm import (AdmmSolver, Problem, Solver, SolverConfig, SolverState,
                    descend, extrapolate)
 from .blocks import BlockVector, detached
-from .constraint import SeparableConstraint, SeparableOperator
+from .constraint import SeparableOperator
 # unused here, but benchmarks/spans.py patches and checks this attribute
 from .opnorm import estimate_opnorm  # noqa: F401
 from .prox import ProxOp, conjugate_apply
 
 
 def ascend(g: SeparableOperator, u: BlockVector, mu: BlockVector,
-           prox_j: ProxOp, delta: float,
-           target: Optional[BlockVector] = None):
+           prox_j: ProxOp, delta: float):
     """The mu-half at u: (mu+, mubar+, ||mu+ - mu|| / delta), where mu+ =
-    (I + delta dJ*)^{-1}(b), b = mu + delta (G(u) - c) and c is ``target``
-    (0 when None); b, then mu+ - mu, are written into G(u)'s blocks."""
+    (I + delta dJ*)^{-1}(b) and b = mu + delta G(u); b, then mu+ - mu,
+    are written into G(u)'s blocks."""
     b = detached(g.evaluate(u), u)
-    if target is not None:
-        for bi, ci in zip(b.blocks, target.blocks):
-            np.subtract(bi, ci, out=bi)
     for bi, mi in zip(b.blocks, mu.blocks):
         np.multiply(delta, bi, out=bi)
         np.add(mi, bi, out=bi)
@@ -60,9 +56,8 @@ class SeparableProblem:
     mu0: BlockVector
 
     def as_admm_problem(self) -> Problem:
-        """The same problem for the ADMM, as G(u) - v = 0; its steps
-        carry no v, so it starts from none."""
-        return Problem(constraint=SeparableConstraint(self.g),
+        """The same problem for the ADMM: G itself, and no v to start."""
+        return Problem(constraint=self.g,
                        prox_h=self.prox_h, prox_j=self.prox_j,
                        u0=self.u0, v0=None, mu0=self.mu0)
 

@@ -12,6 +12,7 @@ only on relative tissue contrast, not on these exact numbers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ class PhantomSpec:
     size: int = 190
 
     def __post_init__(self):
-        if self.size < 1:
+        if operator.index(self.size) < 1:
             raise ValueError("phantom size must be at least 1")
 
 
@@ -102,7 +103,7 @@ class SamplingSpec:
             raise ValueError("spiral turns must be positive and finite")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be nonnegative and finite")
-        if self.noise_seed < 0:
+        if operator.index(self.noise_seed) < 0:
             raise ValueError("seeds must be nonnegative")
 
 

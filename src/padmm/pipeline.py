@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +41,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.coils < 1:
+        if operator.index(self.coils) < 1:
             raise ValueError("coil count must be at least 1")
-        if self.coil_seed < 0:
+        if operator.index(self.coil_seed) < 0:
             raise ValueError("seeds must be nonnegative")
         coil_weights(self.lam, self.alpha0, self.alpha, self.coils)
 

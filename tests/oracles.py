@@ -12,8 +12,7 @@ import numpy as np
 
 from padmm.admm import SolverState
 from padmm.blocks import BlockVector, random_like
-from padmm.constraint import (LinearMap, NonlinearConstraint,
-                              SeparableConstraint, SeparableOperator)
+from padmm.constraint import LinearMap, NonlinearConstraint, SeparableOperator
 from padmm.fields import grad, grad_adjoint
 from padmm.phantom import FRACTION_TOL, MaskFractionError
 from padmm.prox import ProxOp
@@ -228,26 +227,26 @@ class QuadraticAnchorProx(ProxOp):
 def reference_admm_step(solver, state: SolverState) -> SolverState:
     """Reference ``AdmmSolver.step``: each update as BlockVector
     arithmetic, the same operations in the same order, so the states
-    agree bit for bit.  On a separable constraint it is the u-step, then
-    the reference dual-first mu-half at G(u^{k+1}) - c."""
+    agree bit for bit.  On a separable G it is the u-step, then the
+    reference dual-first mu-half at G(u^{k+1})."""
     cfg = solver.cfg
     F = solver.constraint
-    c = F.target
+    separable = isinstance(F, SeparableOperator)
 
-    a = F.jac_u(state.u, state.v)
+    a = F.jac(state.u) if separable else F.jac_u(state.u, state.v)
     tau1, eig_a = solver.step_size(a, state.eig_a)
     u_new = solver.prox_h.apply(state.u - tau1 * a.adjoint(state.mu_bar), tau1)
     del a
 
-    if isinstance(F, SeparableConstraint):
-        g_u = F.g.evaluate(u_new)
+    if separable:
         mu_new, mu_bar_new, residual = reference_ascend(
-            solver.prox_j, cfg.delta, g_u if c is None else g_u - c, state.mu)
+            solver.prox_j, cfg.delta, F.evaluate(u_new), state.mu)
         return SolverState(
             u=u_new, v=None, mu=mu_new, mu_bar=mu_bar_new, k=state.k + 1,
             tau1=tau1, tau2=1.0 / cfg.delta, residual=residual, eig_a=eig_a,
         )
 
+    c = F.target
     b = F.jac_v(u_new, state.v)
     eig_b = state.eig_b
     if cfg.tau2_override is not None:
@@ -272,7 +271,7 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
 
 
 def reference_ascend(prox_j, delta, g_u, mu):
-    """Reference :func:`padmm.pdhgm.ascend` at g_u = G(u) - c, with the
+    """Reference :func:`padmm.pdhgm.ascend` at g_u = G(u), with the
     conjugate resolvent written out as w - delta prox(w / delta)."""
     b = mu + delta * g_u
     mu_new = b - delta * prox_j.apply((1.0 / delta) * b, 1.0 / delta)

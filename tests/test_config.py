@@ -151,6 +151,25 @@ class TestValidByConstruction:
         with pytest.raises(ValueError, match=match):
             build(ExperimentConfig())
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: SolverConfig(max_iterations=2.5),
+                     id="max-iterations-float"),
+        pytest.param(lambda: SolverConfig(max_iterations=float("nan")),
+                     id="max-iterations-nan"),
+        pytest.param(lambda: SolverConfig(power_iter_max=2.5),
+                     id="power-iter-max"),
+        pytest.param(lambda: SolverConfig(seed=1.5), id="solver-seed"),
+        pytest.param(lambda: PhantomSpec(size=2.5), id="phantom-size"),
+        pytest.param(lambda: SamplingSpec(noise_seed=1.5), id="noise-seed"),
+        pytest.param(lambda: ExperimentConfig(coils=2.5), id="coils"),
+        pytest.param(lambda: ExperimentConfig(coil_seed=1.5), id="coil-seed"),
+    ])
+    def test_a_count_that_is_no_integer_raises_when_built(self, build):
+        # a float count would otherwise fail mid-run, in range() or in a
+        # numpy broadcast
+        with pytest.raises(TypeError, match="integer"):
+            build()
+
     def test_per_coil_weights_of_the_coil_count_are_kept(self):
         cfg = ExperimentConfig(coils=2, lam=[0.1, 0.2], alpha=[0.9, 0.8])
         assert (cfg.lam, cfg.alpha) == ([0.1, 0.2], [0.9, 0.8])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import padmm.admm
 from padmm.admm import Solver, SolverConfig
 from padmm.blocks import BlockVector, random_like
-from padmm.constraint import SeparableConstraint
 from padmm.fields import grad
 from padmm.mri import (CoilGradOperator, MriProblem, assemble_prox_j,
                        initial_unknowns, separable_problem)
@@ -248,15 +247,6 @@ class TestProblemValidation:
 
 
 class TestAssembly:
-    def test_constraint_feasible_at_lifted_point(self):
-        rng = np.random.default_rng(5)
-        p = small_problem()
-        F = separable_problem(p).as_admm_problem().constraint
-        u = random_like(BlockVector.zeros(F.g.u_shapes), rng)
-        v = F.g.evaluate(u)
-        assert (F.evaluate(u, v)).norm() == 0
-        assert isinstance(F, SeparableConstraint)
-
     def test_prox_block_routing(self):
         p = small_problem(n_coils=2)
         prox = assemble_prox_j(p)

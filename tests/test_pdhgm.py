@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from padmm.blocks import BlockVector, random_like
-from padmm.constraint import LinearMap, SeparableConstraint
+from padmm.constraint import LinearMap
 from padmm.mri import separable_problem
 from padmm.pdhgm import PdhgmSolver, SeparableProblem, equivalence_check
 from padmm.admm import AdmmSolver, SolverAborted, SolverConfig, SolverState
@@ -263,31 +263,26 @@ class TestEquivalence:
         assert counts == {"AdmmSolver": 1}
 
 
-class TestSeparableConstraintAdapter:
-    def test_value_and_jacobians(self):
-        shapes = ((2, 2),)
-        g = identity_operator(shapes)
-        F = SeparableConstraint(g)
-        assert F.target is None
-        rng = np.random.default_rng(6)
-        u = random_like(BlockVector.zeros(shapes), rng)
-        v = random_like(BlockVector.zeros(shapes), rng)
-        assert (F.evaluate(u, v) - (u - v)).norm() == 0
-        h = random_like(BlockVector.zeros(shapes), rng)
-        assert (F.jac_v(u, v).apply(h) + h).norm() == 0
-        assert (F.jac_v(u, v).adjoint(h) + h).norm() == 0
+class TestAdmmOnSeparableOperator:
+    """The ADMM takes G itself for G(u) - v = 0 and steps without v."""
 
     def test_admm_step_evaluates_g_once(self):
+        # one G evaluation (the mu-half) and one Jacobian (the u-step)
+        # per step
         shapes = ((2, 2),)
         rng = np.random.default_rng(7)
-        evaluations = []
+        evaluations, jacobians = [], []
 
         def evaluate(u):
             evaluations.append(u)
             return 2.0 * u
 
-        double = LinearMap(lambda h: 2.0 * h, lambda w: 2.0 * w, shapes, shapes)
-        g = CallableOperator(evaluate=evaluate, jac=lambda u: double)
+        def jac(u):
+            jacobians.append(u)
+            return LinearMap(lambda h: 2.0 * h, lambda w: 2.0 * w,
+                             shapes, shapes)
+
+        g = CallableOperator(evaluate=evaluate, jac=jac)
         anchor = random_like(BlockVector.zeros(shapes), rng)
         ap = replace(denoising_problem(shapes, anchor), g=g).as_admm_problem()
         _, report = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
@@ -295,15 +290,14 @@ class TestSeparableConstraintAdapter:
             ap.u0, ap.v0, ap.mu0)
         assert report.iterations == 3
         assert len(evaluations) == 3
+        assert len(jacobians) == 3
 
     def test_as_admm_problem_layout(self):
-        # the separable ADMM carries no v, so neither v0 nor a zero target
-        # is a vector
+        # the ADMM takes G itself and carries no v, so v0 is no vector
         shapes = ((2, 2),)
         problem = denoising_problem(shapes, BlockVector.zeros(shapes))
         ap = problem.as_admm_problem()
-        assert isinstance(ap.constraint, SeparableConstraint)
-        assert ap.constraint.target is None
+        assert ap.constraint is problem.g
         assert ap.v0 is None
         assert ap.u0 is problem.u0
 

@@ -10,7 +10,7 @@ import pytest
 from padmm import admm
 from padmm.admm import AdmmSolver, Problem, SolverConfig, SolverState
 from padmm.blocks import BlockVector, random_like
-from padmm.constraint import LinearMap, SeparableConstraint
+from padmm.constraint import LinearMap
 from padmm.mri import separable_problem
 from padmm.pdhgm import PdhgmSolver, equivalence_check
 from padmm.pipeline import config_from_dict, mri_problem, simulate
@@ -126,13 +126,6 @@ class TestSameBitsAsBlockArithmetic:
         self.check_admm(problem, SolverConfig(delta=0.6))
         self.check_admm(problem, SolverConfig(delta=1.0))
 
-    def test_separable_constraint_with_a_target(self):
-        problem, cfg = small_mri(0.2)
-        ap = problem.as_admm_problem()
-        c = random_like(problem.mu0, np.random.default_rng(3))
-        self.check_admm(replace(ap, constraint=SeparableConstraint(
-            problem.g, c)), cfg)
-
     def test_prox_j_that_is_not_a_separable_sum(self):
         problem, cfg = small_mri(0.2)
         problem = unseparable_prox_j(problem, np.random.default_rng(1))
@@ -247,8 +240,7 @@ class TestStepPeakMemory:
 
     def test_admm_run_peak(self):
         # the whole run, start state included: the separable ADMM holds no
-        # v, no start copy of it and no zero target (about 6.5; 9.5 when
-        # it carried v from a zero v0 and target)
+        # v and no start copy of it (about 6.5)
         problem, cfg = small_mri(0.2, size=48, coils=4, turns=4.0)
         v_bytes = sum(b.nbytes for b in problem.mu0.blocks)
         tracemalloc.start()
