@@ -263,8 +263,8 @@ class TestEquivalence:
         assert counts == {"AdmmSolver": 1}
 
 
-class TestAdmmOnSeparableOperator:
-    """The ADMM takes G itself for G(u) - v = 0 and steps without v."""
+class TestSeparableConstraintAdapter:
+    """The ADMM adapts G(u) - v = 0 by taking G itself and steps without v."""
 
     def test_admm_step_evaluates_g_once(self):
         # one G evaluation (the mu-half) and one Jacobian (the u-step)
