@@ -6,9 +6,13 @@ One iteration, in order:
 2. u^{k+1} = prox_H(u^k - tau1 A* mubar^k),
 3. freeze the v-Jacobian B at (u^{k+1}, v^k) and set tau2 analogously,
    or to a configured override,
-4. v^{k+1} = prox_J(v^k - tau2 B* (mu^k + delta (F(u^{k+1}, v^k) - c))),
-5. mu^{k+1} = mu^k + delta (F(u^{k+1}, v^{k+1}) - c),
+4. v^{k+1} = prox_J(v^k - tau2 B* (mu^k + delta F(u^{k+1}, v^k))),
+5. mu^{k+1} = mu^k + delta F(u^{k+1}, v^{k+1}),
 6. mubar^{k+1} = 2 mu^{k+1} - mu^k.
+
+A constraint F(u, v) = c enters as F - c.  Steps 2 and 4 are one pass,
+:func:`descend`, with B in A's place; the multiplier of steps 4 and 5 is
+:func:`dual_update`.
 
 The solver takes a separable F(u, v) = G(u) - v = 0 as G itself, a
 :class:`SeparableOperator`.  There B = -I, and tau2 = 1/delta, the exact
@@ -39,7 +43,7 @@ import numpy as np
 
 from .blocks import BlockVector, detached
 from .constraint import LinearMap, NonlinearConstraint, SeparableOperator
-from .opnorm import estimate_opnorm, fresh_start
+from .opnorm import estimate_opnorm
 from .prox import ProxOp
 
 
@@ -73,7 +77,7 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Iterate after ``k`` steps; ``residual`` is ||F(u, v) - c||.
+    """Iterate after ``k`` steps; ``residual`` is ||F(u, v)||.
 
     The dual-first step and the ADMM step on a separable constraint
     eliminate v, so their states carry ``v = None``.
@@ -150,7 +154,10 @@ class Solver:
         """(theta / (delta ||linmap||^2), eigvec), estimated from ``start``."""
         cfg = self.cfg
         if start is None:
-            start = fresh_start(BlockVector.zeros(linmap.domain_shapes), cfg.seed)
+            rng = np.random.default_rng(cfg.seed)
+            start = BlockVector([
+                rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                for s in linmap.domain_shapes])
         est = estimate_opnorm(linmap, start, tol=cfg.power_iter_tol,
                               max_iter=cfg.power_iter_max)
         return cfg.theta / (cfg.delta * max(est.value ** 2, 1e-300)), est.eigvec
@@ -188,7 +195,7 @@ class Solver:
 
 
 class AdmmSolver(Solver):
-    """The preconditioned ADMM step on F(u, v) = c, or on G(u) - v = 0."""
+    """The preconditioned ADMM step on F(u, v) = 0, or on G(u) - v = 0."""
 
     def __init__(self, constraint: NonlinearConstraint | SeparableOperator,
                  prox_h: ProxOp, prox_j: ProxOp, cfg: SolverConfig):
@@ -226,32 +233,14 @@ class AdmmSolver(Solver):
             tau2 = cfg.tau2_override
         else:
             tau2, eig_b = self.step_size(b, eig_b)
-
-        # t = mu + delta (F(u^{k+1}, v^k) - c)
-        t = detached(F.evaluate(u_new, state.v), u_new, state.v)
-        for ti, ci, mi in zip(t.blocks, F.target.blocks, state.mu.blocks):
-            np.subtract(ti, ci, out=ti)
-            np.multiply(delta, ti, out=ti)
-            np.add(mi, ti, out=ti)
-        # v^{k+1} = prox_J(v - tau2 B* t)
-        y = b.adjoint(t)
-        del t, b, ti  # ti: the loop above leaves t's last block bound
-        for yi, vi in zip(y.blocks, state.v.blocks):
-            np.multiply(tau2, yi, out=yi)
-            np.subtract(vi, yi, out=yi)
-        v_new = self.prox_j.apply(y, tau2)
-        del y, yi
-
-        # r = F(u^{k+1}, v^{k+1}) - c, then mu^{k+1} = mu + delta r in r
+        v_new = descend(b, tau2, state.v, dual_update(
+            detached(F.evaluate(u_new, state.v), u_new, state.v),
+            state.mu, delta), self.prox_j)
         r = detached(F.evaluate(u_new, v_new), u_new, v_new)
-        for ri, ci in zip(r.blocks, F.target.blocks):
-            np.subtract(ri, ci, out=ri)
         residual = r.norm()
-        for ri, mi in zip(r.blocks, state.mu.blocks):
-            np.multiply(delta, ri, out=ri)
-            np.add(mi, ri, out=ri)
+        mu = dual_update(r, state.mu, delta)
         return SolverState(
-            u=u_new, v=v_new, mu=r, mu_bar=extrapolate(r, state.mu),
+            u=u_new, v=v_new, mu=mu, mu_bar=extrapolate(mu, state.mu),
             k=state.k + 1, tau1=tau1, tau2=tau2, residual=residual,
             eig_a=eig_a, eig_b=eig_b,
         )
@@ -273,10 +262,19 @@ def descend(jac: LinearMap, tau: float, u: BlockVector, mu_bar: BlockVector,
     """The u-step prox(u - tau jac* mu_bar, tau), its argument written
     into the adjoint's output."""
     x = detached(jac.adjoint(mu_bar), mu_bar)
+    del mu_bar  # a temporary handed in dies before the resolvent runs
     for xi, ui in zip(x.blocks, u.blocks):
         np.multiply(tau, xi, out=xi)
         np.subtract(ui, xi, out=xi)
     return prox.apply(x, tau)
+
+
+def dual_update(x: BlockVector, mu: BlockVector, delta: float) -> BlockVector:
+    """mu + delta x, written into ``x`` and returned."""
+    for xi, mi in zip(x.blocks, mu.blocks):
+        np.multiply(delta, xi, out=xi)
+        np.add(mi, xi, out=xi)
+    return x
 
 
 def extrapolate(mu_new: BlockVector, mu: BlockVector) -> BlockVector:

@@ -93,12 +93,3 @@ def detached(x: BlockVector, *sources: BlockVector) -> BlockVector:
         return x.copy()
     return x
 
-
-def random_like(bv: BlockVector, rng: np.random.Generator) -> BlockVector:
-    """Standard complex Gaussian vector with the layout of ``bv``."""
-    return BlockVector(
-        [
-            rng.standard_normal(s) + 1j * rng.standard_normal(s)
-            for s in bv.shapes
-        ]
-    )

@@ -1,4 +1,5 @@
-"""Nonlinear constraints F(u, v) = c or G(u) - v = 0 and their Jacobians.
+"""Nonlinear constraints F(u, v) = 0, a right-hand side c folded into F,
+or G(u) - v = 0, and their Jacobians.
 
 Jacobians are exposed as matrix-free apply/adjoint pairs.  The scope is
 restricted to constraints that are holomorphic / multilinear in each
@@ -37,16 +38,13 @@ class LinearMap:
 
 
 class NonlinearConstraint:
-    """Constraint F(u, v) = c with blockwise Jacobian apply/adjoint.
+    """Constraint F(u, v) = 0 with blockwise Jacobian apply/adjoint.
 
-    Subclasses implement ``evaluate``, ``jac_u`` and ``jac_v``; ``target``
-    is the right-hand side c.  ``evaluate`` returns a vector the caller
-    may overwrite: fresh arrays, or an argument itself, never an array the
-    constraint keeps.
+    Subclasses implement ``evaluate``, ``jac_u`` and ``jac_v``; a
+    right-hand side c is folded into ``evaluate``, which returns F - c.
+    ``evaluate`` returns a vector the caller may overwrite: fresh arrays,
+    or an argument itself, never an array the constraint keeps.
     """
-
-    def __init__(self, target: BlockVector):
-        self.target = target
 
     def evaluate(self, u: BlockVector, v: BlockVector) -> BlockVector:
         raise NotImplementedError

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import BlockVector, random_like
+from .blocks import BlockVector
 from .constraint import LinearMap
 
 
@@ -67,8 +67,3 @@ def estimate_opnorm(linmap: LinearMap, start: BlockVector, tol: float,
         )
     return OpNormEstimate(lam ** 0.5, x, it, False)
 
-
-def fresh_start(like: BlockVector, seed: int):
-    """Deterministic random start vector for a given layout and seed."""
-    rng = np.random.default_rng(seed)
-    return random_like(like, rng)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .admm import (AdmmSolver, Problem, Solver, SolverConfig, SolverState,
-                   descend, extrapolate)
+                   descend, dual_update, extrapolate)
 from .blocks import BlockVector, detached
 from .constraint import SeparableOperator
 # unused here, but benchmarks/spans.py patches and checks this attribute
@@ -36,10 +36,7 @@ def ascend(g: SeparableOperator, u: BlockVector, mu: BlockVector,
     """The mu-half at u: (mu+, mubar+, ||mu+ - mu|| / delta), where mu+ =
     (I + delta dJ*)^{-1}(b) and b = mu + delta G(u); b, then mu+ - mu,
     are written into G(u)'s blocks."""
-    b = detached(g.evaluate(u), u)
-    for bi, mi in zip(b.blocks, mu.blocks):
-        np.multiply(delta, bi, out=bi)
-        np.add(mi, bi, out=bi)
+    b = dual_update(detached(g.evaluate(u), u), mu, delta)
     mu_new = conjugate_apply(prox_j, b, delta)
     mu_bar = extrapolate(mu_new, mu)
     for bi, ni, mi in zip(b.blocks, mu_new.blocks, mu.blocks):

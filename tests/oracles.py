@@ -1,21 +1,27 @@
-"""Oracles and toy problem parts that only the tests use: signed-zero
-inputs and a bit-for-bit comparison, slice-based reference kernels, the
-hypot reference norm, flattening and dense maps, finite-difference and
-adjoint checks, callable constraints and operators, a closed-form
-resolvent, the solver steps as BlockVector arithmetic, the
-interleaving ``.pad`` block codec, the metrics-file parser and the
-stamp-per-thickness spiral mask search."""
+"""Oracles and toy problem parts that only the tests use: random block
+vectors, signed-zero inputs and a bit-for-bit comparison, slice-based
+reference kernels, the hypot reference norm, flattening and dense maps,
+finite-difference and adjoint checks, callable constraints and
+operators, a closed-form resolvent, the solver steps as BlockVector
+arithmetic, the interleaving ``.pad`` block codec, the metrics-file
+parser and the stamp-per-thickness spiral mask search."""
 
 import math
 
 import numpy as np
 
 from padmm.admm import SolverState
-from padmm.blocks import BlockVector, random_like
+from padmm.blocks import BlockVector
 from padmm.constraint import LinearMap, NonlinearConstraint, SeparableOperator
 from padmm.fields import grad, grad_adjoint
 from padmm.phantom import FRACTION_TOL, MaskFractionError
 from padmm.prox import ProxOp
+
+
+def random_like(bv: BlockVector, rng: np.random.Generator) -> BlockVector:
+    """Standard complex Gaussian vector with the layout of ``bv``."""
+    return BlockVector([rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                        for s in bv.shapes])
 
 
 def random_field(rng, h=4, w=4):
@@ -139,8 +145,7 @@ def materialize(lm: LinearMap) -> np.ndarray:
 class CallableConstraint(NonlinearConstraint):
     """Constraint assembled from plain callables."""
 
-    def __init__(self, evaluate, jac_u, jac_v, target):
-        super().__init__(target)
+    def __init__(self, evaluate, jac_u, jac_v):
         self._evaluate = evaluate
         self._jac_u = jac_u
         self._jac_v = jac_v
@@ -156,16 +161,15 @@ class CallableConstraint(NonlinearConstraint):
 
 
 def affine_constraint(k, c, m=None):
-    """F(u, v) = K u + M v, target c; dense K and M, M = -I by default."""
+    """F(u, v) = K u + M v - c; dense K and M, M = -I by default."""
     kmap = dense_map(k)
     cod = kmap.codomain_shapes
     mmap = (LinearMap(lambda h: -h, lambda w: -w, cod, cod) if m is None
             else dense_map(m))
     return CallableConstraint(
-        evaluate=lambda u, v: kmap.apply(u) + mmap.apply(v),
+        evaluate=lambda u, v: kmap.apply(u) + mmap.apply(v) - c,
         jac_u=lambda u, v: kmap,
         jac_v=lambda u, v: mmap,
-        target=c,
     )
 
 
@@ -246,7 +250,6 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
             tau1=tau1, tau2=1.0 / cfg.delta, residual=residual, eig_a=eig_a,
         )
 
-    c = F.target
     b = F.jac_v(u_new, state.v)
     eig_b = state.eig_b
     if cfg.tau2_override is not None:
@@ -256,11 +259,11 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
 
     v_new = solver.prox_j.apply(
         state.v - tau2 * b.adjoint(
-            state.mu + cfg.delta * (F.evaluate(u_new, state.v) - c)),
+            state.mu + cfg.delta * F.evaluate(u_new, state.v)),
         tau2,
     )
 
-    full_res = F.evaluate(u_new, v_new) - c
+    full_res = F.evaluate(u_new, v_new)
     mu_new = state.mu + cfg.delta * full_res
     mu_bar_new = 2.0 * mu_new - state.mu
     return SolverState(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from padmm.admm import AdmmSolver, SolverConfig, SolverState, run
-from padmm.blocks import BlockVector, random_like
+from padmm.blocks import BlockVector
 from padmm.cli import EXIT_OK, main
 from padmm.dataset import Dataset
 from padmm.fields import dft2, grad, grad_adjoint, idft2
@@ -28,7 +28,7 @@ from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
 
 from oracles import (QuadraticAnchorProx, adjoint_check, affine_constraint,
                      fd_jacobian_check, from_ravel, random_field,
-                     random_gradient, ravel)
+                     random_gradient, random_like, ravel)
 from test_admm import scalar_consensus
 
 
@@ -180,7 +180,7 @@ class TestCriterion3:
         v_k = random_like(BlockVector.zeros(shapes), rng)
         mu_prev = random_like(BlockVector.zeros(shapes), rng)
         delta = 0.7
-        mu_k = mu_prev + delta * (F.evaluate(u_k, v_k) - c)
+        mu_k = mu_prev + delta * F.evaluate(u_k, v_k)
         mu_bar = 2.0 * mu_k - mu_prev
 
         solver = AdmmSolver(

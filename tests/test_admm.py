@@ -8,12 +8,13 @@ import pytest
 
 import padmm
 from padmm.admm import AdmmSolver, Problem, SolverConfig, SolverState, run
-from padmm.blocks import BlockVector, random_like
+from padmm.blocks import BlockVector
 from padmm.constraint import LinearMap
 from padmm.prox import IdentityProx
 
 from oracles import (CallableConstraint, QuadraticAnchorProx,
-                     affine_constraint, from_ravel, ravel)
+                     affine_constraint, from_ravel, random_like, ravel)
+from test_steps import general_b_problem
 
 
 def scalar_consensus():
@@ -26,7 +27,6 @@ def scalar_consensus():
         evaluate=lambda u, v: u - v,
         jac_u=lambda u, v: ident,
         jac_v=lambda u, v: neg,
-        target=BlockVector.zeros(shapes),
     )
     anchor_u = BlockVector([np.array([a], dtype=complex)])
     anchor_v = BlockVector([np.array([b], dtype=complex)])
@@ -157,6 +157,41 @@ class TestDeterminism:
                             f"{name}:{node.lineno} {cls.name}.{method.name}")
 
 
+class TestStepOrder:
+    def test_general_b_step_evaluates_at_its_own_iterates(self):
+        # the general-B counterpart of the separable step's one G
+        # evaluation: jac_u at (u^k, v^k), jac_v at (u^{k+1}, v^k), and F
+        # at (u^{k+1}, v^k), then at (u^{k+1}, v^{k+1})
+        problem = general_b_problem(np.random.default_rng(4))
+        F, calls = problem.constraint, {}
+
+        def recorded(name):
+            def call(u, v):
+                calls.setdefault(name, []).append((u.copy(), v.copy()))
+                return getattr(F, name)(u, v)
+            return call
+
+        problem = replace(problem, constraint=CallableConstraint(
+            recorded("evaluate"), recorded("jac_u"), recorded("jac_v")))
+        its = [(problem.u0, problem.v0)] + [
+            (st.u, st.v) for st in states(problem, SolverConfig(
+                delta=0.8, max_iterations=3))]
+        assert len(its) == 4
+        assert {name: len(c) for name, c in calls.items()} == {
+            "jac_u": 3, "jac_v": 3, "evaluate": 6}
+
+        def at(point, u, v):
+            return all(np.array_equal(p, q) for p, q in zip(
+                point[0].blocks + point[1].blocks, u.blocks + v.blocks))
+
+        for k in range(3):
+            (u, v), (u_new, v_new) = its[k], its[k + 1]
+            assert at(calls["jac_u"][k], u, v)
+            assert at(calls["jac_v"][k], u_new, v)
+            assert at(calls["evaluate"][2 * k], u_new, v)
+            assert at(calls["evaluate"][2 * k + 1], u_new, v_new)
+
+
 class TestSurrogateAlgebra:
     """The prox-form update must solve the penalized linearized subproblem.
 
@@ -187,7 +222,7 @@ class TestSurrogateAlgebra:
         mu_prev = random_like(BlockVector.zeros(shapes), rng)
         delta = 0.7
         # consistent dual pair: mu_k produced by the multiplier update
-        mu_k = mu_prev + delta * (F.evaluate(u_k, v_k) - c)
+        mu_k = mu_prev + delta * F.evaluate(u_k, v_k)
         mu_bar = 2.0 * mu_k - mu_prev
 
         cfg = SolverConfig(delta=delta, theta=0.9, max_iterations=1,
@@ -219,7 +254,7 @@ class TestSurrogateAlgebra:
         assert np.linalg.norm(ravel(state.v) - v_direct) <= 1e-10 * scale
 
         # multiplier update and extrapolation
-        mu_direct = mu_k + delta * (F.evaluate(state.u, state.v) - c)
+        mu_direct = mu_k + delta * F.evaluate(state.u, state.v)
         assert (state.mu - mu_direct).norm() == 0
         assert (state.mu_bar - (2.0 * state.mu - mu_k)).norm() == 0
 
@@ -271,7 +306,6 @@ class TestDivergenceHandling:
             evaluate=lambda u, v: BlockVector([np.full(2, np.nan, complex)]),
             jac_u=lambda u, v: ident,
             jac_v=lambda u, v: ident,
-            target=BlockVector.zeros(shapes),
         )
         return Problem(F, IdentityProx(), IdentityProx(),
                        BlockVector.zeros(shapes), BlockVector.zeros(shapes),

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padmm.blocks import BlockVector, random_like
+from padmm.blocks import BlockVector
 
-from oracles import from_ravel, norm_hypot, ravel, signed_zero_field
+from oracles import (from_ravel, norm_hypot, random_like, ravel,
+                     signed_zero_field)
 
 
 @pytest.fixture

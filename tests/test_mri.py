@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import padmm.admm
 from padmm.admm import Solver, SolverConfig
-from padmm.blocks import BlockVector, random_like
+from padmm.blocks import BlockVector
 from padmm.fields import grad
 from padmm.mri import (CoilGradOperator, MriProblem, assemble_prox_j,
                        initial_unknowns, separable_problem)
@@ -18,7 +18,7 @@ from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx)
 
 from oracles import (adjoint_check, bit_identical, coil_jac_rows,
-                     fd_jacobian_check, signed_zero_field)
+                     fd_jacobian_check, random_like, signed_zero_field)
 
 
 def small_problem(n_coils=2, size=6, seed=0):
@@ -62,6 +62,22 @@ class TestCoilGradOperator:
         err = fd_jacobian_check(op.evaluate, jac, u, d, eps=1e-6)
         assert err <= 1e-6
         assert adjoint_check(jac, rng) < 1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(2, 8), st.integers(2, 8),
+           st.integers(0, 10_000))
+    def test_remainder_is_the_coil_product(self, n, h, w, seed):
+        # G is bilinear in (u0, c_j) and linear in the rest, so its Taylor
+        # remainder is exact: G(u + d) - G(u) - G'(u) d = [(d0 d_j)_j; 0]
+        rng = np.random.default_rng(seed)
+        op = CoilGradOperator(n, (h, w))
+        u, d = (random_like(BlockVector.zeros(op.u_shapes), rng)
+                for _ in range(2))
+        got = op.evaluate(u + d) - op.evaluate(u) - op.jac(u).apply(d)
+        want = BlockVector([d[0] * d[1 + j] for j in range(n)]
+                           + [np.zeros((2, h, w))] * (n + 1))
+        assert got.shapes == want.shapes
+        assert (got - want).norm() <= 1e-12 * want.norm()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.integers(2, 12), st.integers(2, 12),

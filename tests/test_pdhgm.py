@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from padmm.blocks import BlockVector, random_like
+from padmm.blocks import BlockVector
 from padmm.constraint import LinearMap
 from padmm.mri import separable_problem
 from padmm.pdhgm import PdhgmSolver, SeparableProblem, equivalence_check
@@ -13,7 +13,7 @@ from padmm.pipeline import config_from_dict, mri_problem, simulate
 from padmm.prox import IdentityProx, conjugate_apply
 
 from oracles import (CallableOperator, QuadraticAnchorProx, bit_identical,
-                     dense_map)
+                     dense_map, random_like)
 
 
 def identity_operator(shapes):

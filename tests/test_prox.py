@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import padmm
-from padmm.blocks import BlockVector, random_like
+from padmm.blocks import BlockVector
 from padmm.fields import dft2, idft2
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx, SeparableSumProx, conjugate_apply)

@@ -9,7 +9,7 @@ import pytest
 
 from padmm import admm
 from padmm.admm import AdmmSolver, Problem, SolverConfig, SolverState
-from padmm.blocks import BlockVector, random_like
+from padmm.blocks import BlockVector
 from padmm.constraint import LinearMap
 from padmm.mri import separable_problem
 from padmm.pdhgm import PdhgmSolver, equivalence_check
@@ -17,7 +17,8 @@ from padmm.pipeline import config_from_dict, mri_problem, simulate
 from padmm.prox import IdentityProx
 
 from oracles import (CallableConstraint, QuadraticAnchorProx, bit_identical,
-                     dense_map, reference_admm_step, reference_pdhgm_step)
+                     dense_map, random_like, reference_admm_step,
+                     reference_pdhgm_step)
 from test_pdhgm import denoising_problem
 
 STEPS = 6
@@ -68,7 +69,7 @@ def assert_same_state(a: SolverState, b: SolverState):
 
 
 def general_b_problem(rng):
-    """F(u, v) = K u + M v with a dense M (not -I) and a target c != 0."""
+    """F(u, v) = K u + M v - c with a dense M (not -I) and c != 0."""
     n = 5
     k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -76,8 +77,8 @@ def general_b_problem(rng):
     shapes = kmap.domain_shapes
     c = random_like(BlockVector.zeros(shapes), rng)
     F = CallableConstraint(
-        evaluate=lambda u, v: kmap.apply(u) + mmap.apply(v),
-        jac_u=lambda u, v: kmap, jac_v=lambda u, v: mmap, target=c)
+        evaluate=lambda u, v: kmap.apply(u) + mmap.apply(v) - c,
+        jac_u=lambda u, v: kmap, jac_v=lambda u, v: mmap)
     return Problem(
         constraint=F,
         prox_h=QuadraticAnchorProx(random_like(BlockVector.zeros(shapes), rng)),
@@ -151,10 +152,10 @@ def pass_through_problem(rng):
     resolvents are IdentityProx, which returns its argument too."""
     shapes = ((3, 3),)
     ident = identity_map(shapes)
+    c = random_like(BlockVector.zeros(shapes), rng)
     F = CallableConstraint(
-        evaluate=lambda u, v: u + v, jac_u=lambda u, v: ident,
-        jac_v=lambda u, v: ident,
-        target=random_like(BlockVector.zeros(shapes), rng))
+        evaluate=lambda u, v: u + v - c, jac_u=lambda u, v: ident,
+        jac_v=lambda u, v: ident)
     return Problem(F, IdentityProx(), IdentityProx(),
                    random_like(BlockVector.zeros(shapes), rng),
                    random_like(BlockVector.zeros(shapes), rng),
