@@ -8,7 +8,8 @@ One iteration, in order:
    or to a configured override,
 4. v^{k+1} = prox_J(v^k - tau2 B* (mu^k + delta F(u^{k+1}, v^k))),
 5. mu^{k+1} = mu^k + delta F(u^{k+1}, v^{k+1}),
-6. mubar^{k+1} = 2 mu^{k+1} - mu^k.
+6. mubar^{k+1} = 2 mu^{k+1} - mu^k, which the next step forms, for its
+   step 2, from the state's ``mu`` and ``mu_prev`` (mu^k).
 
 A constraint F(u, v) = c enters as F - c.  Steps 2 and 4 are one pass,
 :func:`descend`, with B in A's place; the multiplier of steps 4 and 5 is
@@ -27,8 +28,10 @@ positive definiteness guaranteed by tau * delta * ||op||^2 = theta < 1.
 Each update is a pass over the blocks that writes into a vector the step
 has just received fresh (an adjoint's output, a value of F, a resolvent's
 output), with the operations and their order of the formulas above.  So
-the step holds few v-layout temporaries, every state it returns has
-arrays of its own, and no buffer lives on from one step to the next.
+the step holds few v-layout temporaries, and no buffer lives on from one
+step to the next.  Every state it returns has arrays of its own, except
+``mu_prev``: that is its predecessor's ``mu`` itself, which nothing
+writes.
 """
 
 from __future__ import annotations
@@ -81,6 +84,10 @@ class SolverState:
 
     The dual-first step and the ADMM step on a separable constraint
     eliminate v, so their states carry ``v = None``.
+    ``mu_prev`` is mu^{k-1}, from which an ADMM step extrapolates
+    mubar = 2 mu - mu_prev: the predecessor's own ``mu`` arrays, never
+    written.  It is ``None`` at a start, where mubar is mu itself, and in
+    every dual-first state, whose step extrapolates its new mu.
     ``eig_a``/``eig_b`` warm-start the next power iteration on the u-/v-
     Jacobian, with its last eigenvector; ``None`` starts it from the seed.
     """
@@ -88,7 +95,7 @@ class SolverState:
     u: BlockVector
     v: Optional[BlockVector]
     mu: BlockVector
-    mu_bar: BlockVector
+    mu_prev: Optional[BlockVector]
     k: int = 0
     tau1: Optional[float] = None
     tau2: Optional[float] = None
@@ -216,15 +223,17 @@ class AdmmSolver(Solver):
         separable = isinstance(F, SeparableOperator)
         a = F.jac(state.u) if separable else F.jac_u(state.u, state.v)
         tau1, eig_a = self.step_size(a, state.eig_a)
-        u_new = descend(a, tau1, state.u, state.mu_bar, self.prox_h)
+        # mubar (mu itself at a start), passed unnamed so that it dies
+        # inside descend
+        u_new = descend(a, tau1, state.u, state.mu if state.mu_prev is None
+                        else extrapolate(state.mu, state.mu_prev), self.prox_h)
         del a  # frees the Jacobian's scratch before the v-step's temporaries
 
         if separable:
             from .pdhgm import ascend  # pdhgm imports this module
-            mu, mu_bar, residual = ascend(F, u_new, state.mu, self.prox_j,
-                                          delta)
+            mu, residual = ascend(F, u_new, state.mu, self.prox_j, delta)
             return SolverState(
-                u=u_new, v=None, mu=mu, mu_bar=mu_bar, k=state.k + 1,
+                u=u_new, v=None, mu=mu, mu_prev=state.mu, k=state.k + 1,
                 tau1=tau1, tau2=1.0 / delta, residual=residual, eig_a=eig_a)
 
         b = F.jac_v(u_new, state.v)
@@ -240,7 +249,7 @@ class AdmmSolver(Solver):
         residual = r.norm()
         mu = dual_update(r, state.mu, delta)
         return SolverState(
-            u=u_new, v=v_new, mu=mu, mu_bar=extrapolate(mu, state.mu),
+            u=u_new, v=v_new, mu=mu, mu_prev=state.mu,
             k=state.k + 1, tau1=tau1, tau2=tau2, residual=residual,
             eig_a=eig_a, eig_b=eig_b,
         )
@@ -248,9 +257,10 @@ class AdmmSolver(Solver):
     @staticmethod
     def start(u0: BlockVector, v0: Optional[BlockVector],
               mu0: BlockVector) -> SolverState:
-        """The state before the first step, in arrays of its own."""
+        """The state before the first step, in arrays of its own; with no
+        mu_prev, the first step's mubar is mu0."""
         return SolverState(u0.copy(), None if v0 is None else v0.copy(),
-                           mu0.copy(), mu0.copy())
+                           mu0.copy(), None)
 
     def run(self, u0: BlockVector, v0: Optional[BlockVector],
             mu0: BlockVector, callbacks: Optional[list] = None):

@@ -57,12 +57,11 @@ class BlockVector:
         )
 
     def norm(self) -> float:
-        """sqrt(sum_b r_b . r_b) over each block's float64 view r_b,
-        blocks summed in order; no per-element ``hypot``."""
+        """sqrt of the blocks' :func:`sum_squares`, summed in order; no
+        per-element ``hypot``."""
         total = 0.0
         for b in self.blocks:
-            r = _real_view(b)
-            total += np.dot(r, r)
+            total += sum_squares(b)
         return float(np.sqrt(total))
 
     def isfinite(self) -> bool:
@@ -78,6 +77,13 @@ def _real_view(b: np.ndarray) -> np.ndarray:
     """Real and imaginary parts of ``b``, interleaved, as one flat float64
     array (a view unless ``b`` is not contiguous)."""
     return np.ascontiguousarray(b).reshape(-1).view(np.float64)
+
+
+def sum_squares(b: np.ndarray):
+    """r . r over the float64 view r of ``b``: its squared real and
+    imaginary parts, summed."""
+    r = _real_view(b)
+    return np.dot(r, r)
 
 
 def detached(x: BlockVector, *sources: BlockVector) -> BlockVector:

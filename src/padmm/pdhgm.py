@@ -24,7 +24,7 @@ import numpy as np
 
 from .admm import (AdmmSolver, Problem, Solver, SolverConfig, SolverState,
                    descend, dual_update, extrapolate)
-from .blocks import BlockVector, detached
+from .blocks import BlockVector, detached, sum_squares
 from .constraint import SeparableOperator
 # unused here, but benchmarks/spans.py patches and checks this attribute
 from .opnorm import estimate_opnorm  # noqa: F401
@@ -33,15 +33,16 @@ from .prox import ProxOp, conjugate_apply
 
 def ascend(g: SeparableOperator, u: BlockVector, mu: BlockVector,
            prox_j: ProxOp, delta: float):
-    """The mu-half at u: (mu+, mubar+, ||mu+ - mu|| / delta), where mu+ =
-    (I + delta dJ*)^{-1}(b) and b = mu + delta G(u); b, then mu+ - mu,
-    are written into G(u)'s blocks."""
-    b = dual_update(detached(g.evaluate(u), u), mu, delta)
-    mu_new = conjugate_apply(prox_j, b, delta)
-    mu_bar = extrapolate(mu_new, mu)
-    for bi, ni, mi in zip(b.blocks, mu_new.blocks, mu.blocks):
-        np.subtract(ni, mi, out=bi)
-    return mu_new, mu_bar, b.norm() / delta
+    """The mu-half at u: (mu+, ||mu+ - mu|| / delta), where mu+ =
+    (I + delta dJ*)^{-1}(b) and b = mu + delta G(u); b, then mu+, are
+    written into G(u)'s blocks.  The norm sums the blocks' squares in
+    order, as ``BlockVector.norm`` does, one block of mu+ - mu at a time."""
+    mu_new = conjugate_apply(
+        prox_j, dual_update(detached(g.evaluate(u), u), mu, delta), delta)
+    total = 0.0
+    for ni, mi in zip(mu_new.blocks, mu.blocks):
+        total += sum_squares(np.subtract(ni, mi))
+    return mu_new, float(np.sqrt(total)) / delta
 
 
 @dataclass
@@ -70,20 +71,21 @@ class PdhgmSolver(Solver):
 
     def step(self, state: SolverState) -> SolverState:
         p, delta = self.problem, self.cfg.delta
-        mu_new, mu_bar, residual = ascend(p.g, state.u, state.mu, p.prox_j,
-                                          delta)
+        mu_new, residual = ascend(p.g, state.u, state.mu, p.prox_j, delta)
         jac = p.g.jac(state.u)
         tau1, eig_a = self.step_size(jac, state.eig_a)
-        u_new = descend(jac, tau1, state.u, mu_bar, p.prox_h)
+        u_new = descend(jac, tau1, state.u, extrapolate(mu_new, state.mu),
+                        p.prox_h)
         return SolverState(
-            u=u_new, v=None, mu=mu_new, mu_bar=mu_bar, k=state.k + 1,
+            u=u_new, v=None, mu=mu_new, mu_prev=None, k=state.k + 1,
             tau1=tau1, tau2=1.0 / delta, residual=residual, eig_a=eig_a,
         )
 
     def start(self) -> SolverState:
-        """The problem's start; mu_bar, which no step reads, is mu0 itself."""
+        """The problem's start, in arrays of its own; as every dual-first
+        state it has no mu_prev, because the step extrapolates mu itself."""
         p = self.problem
-        return SolverState(u=p.u0.copy(), v=None, mu=p.mu0.copy(), mu_bar=p.mu0)
+        return SolverState(u=p.u0.copy(), v=None, mu=p.mu0.copy(), mu_prev=None)
 
     def run(self, callbacks: Optional[list] = None):
         """Iterate from ``start``; callbacks receive (u, mu)."""
@@ -112,6 +114,6 @@ def equivalence_check(problem: SeparableProblem, cfg: SolverConfig,
     pd = PdhgmSolver(replace(problem, u0=first.u),
                      replace(cfg, max_iterations=iterations))
     pd_states = pd.iterates(replace(pd.start(), eig_a=first.eig_a))
-    del first  # its mu and mu_bar would otherwise live through the walk
+    del first  # its mu and mu_prev would otherwise live through the walk
     return max(((pd_st.u - admm_st.u).norm() for admm_st, pd_st in
                 zip(admm_states, pd_states)), default=0.0)

@@ -108,6 +108,10 @@ class SamplingSpec:
 
 
 def _normalized_grid(size: int):
+    # a size x size complex128 field must fit numpy's byte count
+    if not size * size < np.iinfo(np.intp).max / 16:
+        raise MemoryError(f"phantom.size {size!r}: a {size}x{size} field "
+                          "is too large to allocate")
     ax = np.linspace(-1.0, 1.0, size)
     return np.meshgrid(ax, ax, indexing="xy")
 

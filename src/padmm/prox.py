@@ -118,27 +118,38 @@ class SeparableSumProx(ProxOp):
         self.children = tuple(children)
 
     def apply(self, v: BlockVector, tau):
-        if len(v) != len(self.children):
-            raise ValueError("block count does not match child prox count")
-        return BlockVector([p.apply(b, tau) for p, b in zip(self.children, v.blocks)])
+        return BlockVector([p.apply(b, tau) for p, b in self.pairs(v)])
 
     def penalty(self, v: BlockVector):
         return float(sum(p.penalty(b) for p, b in zip(self.children, v.blocks)))
 
+    def pairs(self, v: BlockVector):
+        """(child, block) pairs of ``v``; another block count raises."""
+        if len(v) != len(self.children):
+            raise ValueError("block count does not match child prox count")
+        return zip(self.children, v.blocks)
+
 
 def conjugate_apply(prox: ProxOp, w, delta: float):
-    """Resolvent of the convex conjugate, (I + delta dE*)^{-1}(w).
+    """Resolvent of the convex conjugate, (I + delta dE*)^{-1}(w), written
+    into ``w``, which is returned.
 
     Obtained from Moreau's identity
     b = (I + (1/delta) dE)^{-1}(b) + (1/delta)(I + delta dE*)^{-1}(delta b)
     with w = delta * b; the caller passes the dual-scaled point, delta > 0.
+    A :class:`SeparableSumProx` runs child by child, so the scaled
+    argument w / delta exists for one block at a time.
     """
+    if isinstance(prox, SeparableSumProx):
+        for child, wi in prox.pairs(w):
+            conjugate_apply(child, wi, delta)
+        return w
     p = prox.apply((1.0 / delta) * w, 1.0 / delta)
-    # w - delta p, written into the resolvent's output
+    # w - delta p, into w; p is the scaled copy or fresh, never w
     for wi, pi in zip(_blocks(w), _blocks(p)):
         np.multiply(delta, pi, out=pi)
-        np.subtract(wi, pi, out=pi)
-    return p
+        np.subtract(wi, pi, out=wi)
+    return w
 
 
 def _blocks(x):

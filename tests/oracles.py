@@ -3,14 +3,16 @@ vectors, signed-zero inputs and a bit-for-bit comparison, slice-based
 reference kernels, the hypot reference norm, flattening and dense maps,
 finite-difference and adjoint checks, callable constraints and
 operators, a closed-form resolvent, the solver steps as BlockVector
-arithmetic, the interleaving ``.pad`` block codec, the metrics-file
-parser and the stamp-per-thickness spiral mask search."""
+arithmetic, the ADMM with an explicit v against the dual-first stream,
+the interleaving ``.pad`` block codec, the metrics-file parser and the
+stamp-per-thickness spiral mask search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from padmm.admm import SolverState
+from padmm.admm import AdmmSolver, SolverState
 from padmm.blocks import BlockVector
 from padmm.constraint import LinearMap, NonlinearConstraint, SeparableOperator
 from padmm.fields import grad, grad_adjoint
@@ -187,6 +189,38 @@ class CallableOperator(SeparableOperator):
         return self._jac(u)
 
 
+def explicit_v_constraint(g: SeparableOperator) -> CallableConstraint:
+    """G(u) - v = 0 in the paper's form, with the v-Jacobian -I: the
+    ADMM steps on it with v in its state, through the general path."""
+    return CallableConstraint(
+        evaluate=lambda u, v: g.evaluate(u) - v,
+        jac_u=lambda u, v: g.jac(u),
+        jac_v=lambda u, v: LinearMap(lambda h: -h, lambda w: -w,
+                                     v.shapes, v.shapes))
+
+
+def explicit_v_deviation(problem, cfg, iterations: int) -> float:
+    """Max relative u-deviation between the ADMM with an explicit v on
+    ``explicit_v_constraint(problem.g)`` (tau2 = 1/delta, v0 = 0) and the
+    dual-first iteration, walked as ``equivalence_check`` walks them:
+    the dual-first stream starts from the first ADMM iterate's u and
+    eigenvector, and its iterate k meets ADMM iterate k + 1."""
+    from padmm.pdhgm import PdhgmSolver  # pdhgm imports padmm.admm
+
+    admm = AdmmSolver(explicit_v_constraint(problem.g), problem.prox_h,
+                      problem.prox_j,
+                      replace(cfg, tau2_override=1.0 / cfg.delta,
+                              max_iterations=iterations + 1))
+    admm_states = admm.iterates(admm.start(
+        problem.u0, BlockVector.zeros(problem.mu0.shapes), problem.mu0))
+    first = next(admm_states)
+    pd = PdhgmSolver(replace(problem, u0=first.u),
+                     replace(cfg, max_iterations=iterations))
+    pd_states = pd.iterates(replace(pd.start(), eig_a=first.eig_a))
+    return max(((p.u - a.u).norm() / a.u.norm()
+                for a, p in zip(admm_states, pd_states)), default=0.0)
+
+
 def fd_jacobian_check(op, jac: LinearMap, base: BlockVector,
                       direction: BlockVector, eps: float = 1e-6) -> float:
     """Relative error of ``jac`` against a central finite difference.
@@ -239,14 +273,16 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
 
     a = F.jac(state.u) if separable else F.jac_u(state.u, state.v)
     tau1, eig_a = solver.step_size(a, state.eig_a)
-    u_new = solver.prox_h.apply(state.u - tau1 * a.adjoint(state.mu_bar), tau1)
+    mu_bar = (state.mu if state.mu_prev is None
+              else 2.0 * state.mu - state.mu_prev)
+    u_new = solver.prox_h.apply(state.u - tau1 * a.adjoint(mu_bar), tau1)
     del a
 
     if separable:
-        mu_new, mu_bar_new, residual = reference_ascend(
+        mu_new, residual = reference_ascend(
             solver.prox_j, cfg.delta, F.evaluate(u_new), state.mu)
         return SolverState(
-            u=u_new, v=None, mu=mu_new, mu_bar=mu_bar_new, k=state.k + 1,
+            u=u_new, v=None, mu=mu_new, mu_prev=state.mu, k=state.k + 1,
             tau1=tau1, tau2=1.0 / cfg.delta, residual=residual, eig_a=eig_a,
         )
 
@@ -265,9 +301,8 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
 
     full_res = F.evaluate(u_new, v_new)
     mu_new = state.mu + cfg.delta * full_res
-    mu_bar_new = 2.0 * mu_new - state.mu
     return SolverState(
-        u=u_new, v=v_new, mu=mu_new, mu_bar=mu_bar_new,
+        u=u_new, v=v_new, mu=mu_new, mu_prev=state.mu,
         k=state.k + 1, tau1=tau1, tau2=tau2, residual=full_res.norm(),
         eig_a=eig_a, eig_b=eig_b,
     )
@@ -278,20 +313,21 @@ def reference_ascend(prox_j, delta, g_u, mu):
     conjugate resolvent written out as w - delta prox(w / delta)."""
     b = mu + delta * g_u
     mu_new = b - delta * prox_j.apply((1.0 / delta) * b, 1.0 / delta)
-    return mu_new, 2.0 * mu_new - mu, (mu_new - mu).norm() / delta
+    return mu_new, (mu_new - mu).norm() / delta
 
 
 def reference_pdhgm_step(solver, state: SolverState) -> SolverState:
     """Reference ``PdhgmSolver.step``: the mu-half, then the u-step."""
     p, cfg = solver.problem, solver.cfg
-    mu_new, mu_bar, residual = reference_ascend(
+    mu_new, residual = reference_ascend(
         p.prox_j, cfg.delta, p.g.evaluate(state.u), state.mu)
 
     jac = p.g.jac(state.u)
     tau1, eig_a = solver.step_size(jac, state.eig_a)
+    mu_bar = 2.0 * mu_new - state.mu
     u_new = p.prox_h.apply(state.u - tau1 * jac.adjoint(mu_bar), tau1)
     return SolverState(
-        u=u_new, v=None, mu=mu_new, mu_bar=mu_bar, k=state.k + 1,
+        u=u_new, v=None, mu=mu_new, mu_prev=None, k=state.k + 1,
         tau1=tau1, tau2=1.0 / cfg.delta, residual=residual, eig_a=eig_a,
     )
 

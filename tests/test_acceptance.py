@@ -9,10 +9,12 @@ so the suite stays within its runtime budget.
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import padmm.pdhgm
 from padmm.admm import AdmmSolver, SolverConfig, SolverState, run
 from padmm.blocks import BlockVector
 from padmm.cli import EXIT_OK, main
@@ -27,8 +29,8 @@ from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx, conjugate_apply)
 
 from oracles import (QuadraticAnchorProx, adjoint_check, affine_constraint,
-                     fd_jacobian_check, from_ravel, random_field,
-                     random_gradient, random_like, ravel)
+                     explicit_v_deviation, fd_jacobian_check, from_ravel,
+                     random_field, random_gradient, random_like, ravel)
 from test_admm import scalar_consensus
 
 
@@ -181,7 +183,6 @@ class TestCriterion3:
         mu_prev = random_like(BlockVector.zeros(shapes), rng)
         delta = 0.7
         mu_k = mu_prev + delta * F.evaluate(u_k, v_k)
-        mu_bar = 2.0 * mu_k - mu_prev
 
         solver = AdmmSolver(
             F, QuadraticAnchorProx(anchor_u, wh),
@@ -189,7 +190,7 @@ class TestCriterion3:
             SolverConfig(delta=delta, theta=0.9, max_iterations=1,
                          power_iter_tol=1e-14, power_iter_max=5000),
         )
-        state = solver.step(SolverState(u=u_k, v=v_k, mu=mu_k, mu_bar=mu_bar))
+        state = solver.step(SolverState(u=u_k, v=v_k, mu=mu_k, mu_prev=mu_prev))
 
         eye = np.eye(n, dtype=complex)
         khk = k.conj().T @ k
@@ -228,6 +229,31 @@ class TestCriterion4:
         report(4, "quadratic toy KKT oracle", ok)
 
 
+def part_b_instance():
+    """Criterion 5's 16x16, 2-coil reconstruction instance and its solver
+    settings."""
+    exp = config_from_dict({
+        "phantom": {"size": 16},
+        "coils": {"count": 2, "seed": 1},
+        "sampling": {"fraction": 0.3, "turns": 3.0, "sigma": 0.05,
+                     "seed": 0},
+        "solver": {"delta": 0.5, "iterations": 50,
+                   "power_iter_tol": 1e-9, "power_iter_max": 300},
+        "weights": {"lam": 0.0621, "alpha0": 0.062, "alpha": 0.9317},
+    })
+    return separable_problem(mri_problem(simulate(exp), exp)), exp.solver
+
+
+def explicit_v_deviations():
+    """Part (c) of criterion 5 at delta = 0.2 and 1.0: the ADMM with an
+    explicit v (B = -I, tau2 = 1/delta) against the dual-first stream,
+    on part (b)'s instance.  Neither side calls the other's mu-half."""
+    problem, cfg = part_b_instance()
+    return [explicit_v_deviation(problem, replace(cfg, delta=delta),
+                                 cfg.max_iterations)
+            for delta in (0.2, 1.0)]
+
+
 class TestCriterion5:
     def test_admm_pdhgm_equivalence(self):
         t0 = time.perf_counter()
@@ -250,23 +276,28 @@ class TestCriterion5:
         ok = dev_toy <= 1e-8
 
         # (b) 16x16, 2-coil reconstruction instance
-        raw = {
-            "phantom": {"size": 16},
-            "coils": {"count": 2, "seed": 1},
-            "sampling": {"fraction": 0.3, "turns": 3.0, "sigma": 0.05,
-                         "seed": 0},
-            "solver": {"delta": 0.5, "iterations": 50,
-                       "power_iter_tol": 1e-9, "power_iter_max": 300},
-            "weights": {"lam": 0.0621, "alpha0": 0.062, "alpha": 0.9317},
-        }
-        exp = config_from_dict(raw)
-        dataset = simulate(exp)
-        problem = separable_problem(mri_problem(dataset, exp))
-        dev_mri = equivalence_check(problem, exp.solver, 50)
+        problem, solver_cfg = part_b_instance()
+        dev_mri = equivalence_check(problem, solver_cfg, 50)
         ok &= dev_mri <= 1e-8
+
+        # (c) the paper's ADMM, v explicit, which (b) no longer runs: the
+        # separable ADMM step is itself descend and the dual-first ascend
+        ok &= max(explicit_v_deviations()) <= 1e-8
 
         ok &= (time.perf_counter() - t0) < 120.0
         report(5, "dual-first equivalence", ok)
+
+    def test_part_c_fails_on_a_sign_flipped_moreau_step(self, monkeypatch):
+        # w + delta p in place of w - delta p in the dual-first mu-half;
+        # parts (a) and (b) run it on both sides and still give 0
+        def flipped(prox, w, delta):
+            p = prox.apply((1.0 / delta) * w, 1.0 / delta)
+            for wi, pi in zip(w.blocks, p.blocks):
+                wi += delta * pi
+            return w
+
+        monkeypatch.setattr(padmm.pdhgm, "conjugate_apply", flipped)
+        assert min(explicit_v_deviations()) > 1e-8
 
 
 class TestCriterion6:
@@ -312,12 +343,12 @@ class TestCriterion8:
         """Coil changes of one PDHGM and one matching ADMM step from u."""
         mu0 = BlockVector.zeros(problem.mu0.shapes)
         pd = PdhgmSolver(problem, cfg).step(
-            SolverState(u=u, v=None, mu=mu0, mu_bar=mu0))
+            SolverState(u=u, v=None, mu=mu0, mu_prev=None))
         ap = problem.as_admm_problem()
         admm = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j, cfg)
         state = admm.step(SolverState(u=u, v=problem.g.evaluate(u),
-                                      mu=pd.mu, mu_bar=pd.mu_bar))
-        return (pd.mu_bar, self._coil_change(u, pd.u),
+                                      mu=pd.mu, mu_prev=mu0))
+        return (2.0 * pd.mu - mu0, self._coil_change(u, pd.u),
                 self._coil_change(u, state.u))
 
     def test_coils_untouched_where_signal_vanishes(self):

@@ -711,6 +711,20 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("size", [2 ** 63, 2 ** 64])
+def test_grid_past_numpy_byte_count_exits_2(tmp_path, capsys, size):
+    # the field's byte count is checked before numpy is asked for the
+    # grid: 2**63 overflows an index, 2**64 exceeds numpy's maximum size
+    config = tmp_path / "size.yaml"
+    config.write_text(yaml.safe_dump({
+        "phantom": {"size": size}, "coils": {"count": 2},
+        "output": str(tmp_path / "out")}))
+    assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: phantom.size ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("turns", [1.0e16, 1.0e308])
 def test_spiral_too_long_to_sample_exits_2(tmp_path, capsys, turns):
     # the sample count is checked before numpy is asked for the samples:

@@ -159,9 +159,12 @@ class TestSeparableSum:
                           children[0].penalty(v[0]) + children[1].penalty(v[1]))
 
     def test_block_count_mismatch(self):
+        prox = SeparableSumProx([IdentityProx()])
+        v = BlockVector([np.zeros((2, 2)), np.zeros((2, 2))])
         with pytest.raises(ValueError):
-            SeparableSumProx([IdentityProx()]).apply(
-                BlockVector([np.zeros((2, 2)), np.zeros((2, 2))]), 1.0)
+            prox.apply(v, 1.0)
+        with pytest.raises(ValueError):  # it runs child by child
+            conjugate_apply(prox, v, 1.0)
 
 
 class TestMoreau:
@@ -184,7 +187,7 @@ class TestMoreau:
         rng = np.random.default_rng(11)
         alpha = 0.8
         g = random_gradient(rng)
-        out = conjugate_apply(GroupShrinkProx(alpha), g, 1.7)
+        out = conjugate_apply(GroupShrinkProx(alpha), g.copy(), 1.7)
         mag = np.sqrt(np.sum(np.abs(out) ** 2, axis=0))
         assert np.all(mag <= alpha + 1e-12)
         # pixels inside the ball are untouched
