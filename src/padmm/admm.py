@@ -137,7 +137,14 @@ class SolverAborted(RuntimeError):
 
 @dataclass
 class Problem:
-    """A complete solver input: constraint, resolvents and initial point."""
+    """A complete solver input: constraint, resolvents and initial point.
+
+    The start vectors are inputs only: ``AdmmSolver.start`` copies them,
+    and no run writes into them.  They may share arrays between blocks
+    and be read-only (:func:`padmm.mri.separable_problem` builds them
+    so), so an in-place write to them may raise ``ValueError``; copy
+    first.
+    """
 
     constraint: NonlinearConstraint | SeparableOperator
     prox_h: ProxOp

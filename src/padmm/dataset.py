@@ -31,7 +31,7 @@ class ContainerFormatError(ValueError):
 
 
 def atomic_write(path, chunks):
-    """Write the byte strings ``chunks`` to a temporary file beside
+    """Write the bytes-like ``chunks`` to a temporary file beside
     ``path`` and rename it over ``path``, so readers never see a part."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -61,9 +61,11 @@ def write_container(path, magic: str, meta: dict, blocks: dict):
         lines.append(f"block: {name} {arr.shape[0]} {arr.shape[1]}")
     lines.append("end-header")
     header = ("\n".join(lines) + "\n").encode("utf-8")
-    # a generator, so only one encoded block is held in memory at a time
+    # a generator of each block's own buffer, so at most one encoded copy
+    # (of a block not already C-ordered <c16) is held at a time
     atomic_write(path, itertools.chain([header], (
-        np.asarray(arr, dtype="<c16").tobytes() for arr in blocks.values())))
+        memoryview(np.ascontiguousarray(arr, dtype="<c16"))
+        for arr in blocks.values())))
 
 
 def _block_entry(value: str):
@@ -120,9 +122,11 @@ def read_container(path, magic: str):
             raise ContainerFormatError(f"payload of {payload} bytes, but the "
                                        f"blocks declare {declared}")
         blocks = {}
-        for name, (h, w) in shapes.items():
-            raw = np.frombuffer(fh.read(16 * h * w), dtype="<c16")
-            blocks[name] = raw.astype(np.complex128).reshape(h, w)
+        for name, shape in shapes.items():
+            raw = np.empty(shape, dtype="<c16")
+            if fh.readinto(raw) != raw.nbytes:
+                raise ContainerFormatError("payload shorter than declared")
+            blocks[name] = raw.astype(np.complex128, copy=False)
     return meta, blocks
 
 

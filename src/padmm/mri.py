@@ -177,19 +177,35 @@ def assemble_prox_j(problem: MriProblem) -> SeparableSumProx:
     return SeparableSumProx(children)
 
 
+def _shared_start(shapes, make) -> BlockVector:
+    """A start vector of ``shapes`` with one read-only array per distinct
+    shape, ``make(shape, dtype=complex128)``, shared by every block of
+    that shape."""
+    arrays = {s: make(s, dtype=np.complex128) for s in dict.fromkeys(shapes)}
+    for a in arrays.values():
+        a.setflags(write=False)
+    return BlockVector([arrays[s] for s in shapes])
+
+
 def initial_unknowns(problem: MriProblem) -> BlockVector:
-    """All-ones spin density and coil maps."""
-    one = np.ones(problem.shape, dtype=np.complex128)
-    return BlockVector([one.copy() for _ in range(problem.n_coils + 1)])
+    """All-ones spin density and coil maps: one read-only array, shared
+    by every block."""
+    return _shared_start([problem.shape] * (problem.n_coils + 1), np.ones)
 
 
 def separable_problem(problem: MriProblem) -> SeparableProblem:
-    """Wire the reconstruction instance for either solver."""
+    """Wire the reconstruction instance for either solver.
+
+    The start vectors are shared and read-only: u0 is
+    :func:`initial_unknowns`, and mu0 holds one zero field and one zero
+    gradient field for its 3n + 2 blocks.  The solvers' ``start`` copies
+    them; an in-place write to them raises ``ValueError``.
+    """
     g = CoilGradOperator(problem.n_coils, problem.shape)
     return SeparableProblem(
         g=g,
         prox_h=IdentityProx(),
         prox_j=assemble_prox_j(problem),
         u0=initial_unknowns(problem),
-        mu0=BlockVector.zeros(g.v_shapes),
+        mu0=_shared_start(g.v_shapes, np.zeros),
     )

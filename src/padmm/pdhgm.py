@@ -47,6 +47,11 @@ def ascend(g: SeparableOperator, u: BlockVector, mu: BlockVector,
 
 @dataclass
 class SeparableProblem:
+    """G, the resolvents and the start (u0, mu0).  As in
+    :class:`padmm.admm.Problem`, the start vectors are inputs only, which
+    ``PdhgmSolver.start`` copies; they may be shared and read-only, so
+    an in-place write to them may raise ``ValueError``."""
+
     g: SeparableOperator
     prox_h: ProxOp
     prox_j: ProxOp

@@ -121,7 +121,7 @@ class SeparableSumProx(ProxOp):
         return BlockVector([p.apply(b, tau) for p, b in self.pairs(v)])
 
     def penalty(self, v: BlockVector):
-        return float(sum(p.penalty(b) for p, b in zip(self.children, v.blocks)))
+        return float(sum(p.penalty(b) for p, b in self.pairs(v)))
 
     def pairs(self, v: BlockVector):
         """(child, block) pairs of ``v``; another block count raises."""

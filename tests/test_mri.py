@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -285,6 +286,37 @@ class TestAssembly:
         assert len(u0) == 4
         for b in u0.blocks:
             assert np.all(b == 1.0)
+
+    def test_start_vectors_share_one_read_only_array_per_shape(self):
+        def root(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        sp = separable_problem(small_problem(n_coils=3))
+        for start in (sp.u0, sp.mu0):
+            assert (len({id(root(b)) for b in start.blocks})
+                    == len(set(start.shapes)))
+            for b in start.blocks:
+                assert not b.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    b *= 2
+        assert len(set(sp.mu0.shapes)) == 2
+
+    def test_building_allocates_one_array_per_start_shape(self):
+        # u0's field, mu0's field and mu0's (2, H, W) gradient field, the
+        # bytes of 4 fields, and a few KiB of resolvent objects; one array
+        # per block would be 5 + 4 + 5 * 2 = 19 fields
+        p = small_problem(n_coils=4, size=48)
+        field = 48 * 48 * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            separable_problem(p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * field + 16 * 1024
 
     def test_separable_problem_wiring(self):
         p = small_problem(n_coils=2)

@@ -166,6 +166,13 @@ class TestSeparableSum:
         with pytest.raises(ValueError):  # it runs child by child
             conjugate_apply(prox, v, 1.0)
 
+    def test_penalty_block_count_mismatch(self):
+        rng = np.random.default_rng(8)
+        prox = SeparableSumProx([GroupShrinkProx(0.5)])
+        v = BlockVector([random_gradient(rng), random_gradient(rng)])
+        with pytest.raises(ValueError, match="block count"):
+            prox.penalty(v)
+
 
 class TestMoreau:
     @pytest.mark.parametrize("name,make", PROX_CASES)
