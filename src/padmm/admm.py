@@ -8,8 +8,9 @@ One iteration, in order:
    or to a configured override,
 4. v^{k+1} = prox_J(v^k - tau2 B* (mu^k + delta F(u^{k+1}, v^k))),
 5. mu^{k+1} = mu^k + delta F(u^{k+1}, v^{k+1}),
-6. mubar^{k+1} = 2 mu^{k+1} - mu^k, which the next step forms, for its
-   step 2, from the state's ``mu`` and ``mu_prev`` (mu^k).
+6. mubar^{k+1} = 2 mu^{k+1} - mu^k, which is never stored: the next
+   step's step 2 reads it from the state's ``mu`` and ``mu_prev``
+   (mu^k), block by block inside A* when A has ``adjoint_extrapolated``.
 
 A constraint F(u, v) = c enters as F - c.  Steps 2 and 4 are one pass,
 :func:`descend`, with B in A's place; the multiplier of steps 4 and 5 is
@@ -84,10 +85,12 @@ class SolverState:
 
     The dual-first step and the ADMM step on a separable constraint
     eliminate v, so their states carry ``v = None``.
-    ``mu_prev`` is mu^{k-1}, from which an ADMM step extrapolates
-    mubar = 2 mu - mu_prev: the predecessor's own ``mu`` arrays, never
-    written.  It is ``None`` at a start, where mubar is mu itself, and in
-    every dual-first state, whose step extrapolates its new mu.
+    ``mu_prev`` is mu^{k-1}, the predecessor's own ``mu`` arrays, never
+    written.  An ADMM step's u-step takes A* mubar, mubar = 2 mu - mu_prev,
+    from it and ``mu``; mubar is no field, and :func:`descend` never
+    stores it on a map with ``adjoint_extrapolated``.  ``mu_prev`` is
+    ``None`` at a start, where mubar is mu itself, and in every
+    dual-first state, whose step extrapolates its new mu against ``mu``.
     ``eig_a``/``eig_b`` warm-start the next power iteration on the u-/v-
     Jacobian, with its last eigenvector; ``None`` starts it from the seed.
     """
@@ -230,10 +233,7 @@ class AdmmSolver(Solver):
         separable = isinstance(F, SeparableOperator)
         a = F.jac(state.u) if separable else F.jac_u(state.u, state.v)
         tau1, eig_a = self.step_size(a, state.eig_a)
-        # mubar (mu itself at a start), passed unnamed so that it dies
-        # inside descend
-        u_new = descend(a, tau1, state.u, state.mu if state.mu_prev is None
-                        else extrapolate(state.mu, state.mu_prev), self.prox_h)
+        u_new = descend(a, tau1, state.u, state.mu, state.mu_prev, self.prox_h)
         del a  # frees the Jacobian's scratch before the v-step's temporaries
 
         if separable:
@@ -251,7 +251,7 @@ class AdmmSolver(Solver):
             tau2, eig_b = self.step_size(b, eig_b)
         v_new = descend(b, tau2, state.v, dual_update(
             detached(F.evaluate(u_new, state.v), u_new, state.v),
-            state.mu, delta), self.prox_j)
+            state.mu, delta), None, self.prox_j)
         r = detached(F.evaluate(u_new, v_new), u_new, v_new)
         residual = r.norm()
         mu = dual_update(r, state.mu, delta)
@@ -274,12 +274,21 @@ class AdmmSolver(Solver):
         return self._drive(self.start(u0, v0, mu0), callbacks)
 
 
-def descend(jac: LinearMap, tau: float, u: BlockVector, mu_bar: BlockVector,
-            prox: ProxOp) -> BlockVector:
-    """The u-step prox(u - tau jac* mu_bar, tau), its argument written
-    into the adjoint's output."""
-    x = detached(jac.adjoint(mu_bar), mu_bar)
-    del mu_bar  # a temporary handed in dies before the resolvent runs
+def descend(jac: LinearMap, tau: float, u: BlockVector, mu: BlockVector,
+            mu_prev: Optional[BlockVector], prox: ProxOp) -> BlockVector:
+    """The u-step prox(u - tau jac* mubar, tau), its argument written
+    into the adjoint's output.  mubar is 2 mu - mu_prev, or ``mu`` itself
+    when ``mu_prev`` is None.  A map with ``adjoint_extrapolated`` forms
+    mubar block by block inside its adjoint; for any other map
+    :func:`extrapolate` stores it for the one adjoint call."""
+    if mu_prev is None:
+        x = jac.adjoint(mu)
+    elif jac.adjoint_extrapolated is not None:
+        x = jac.adjoint_extrapolated(mu, mu_prev)
+    else:
+        x = jac.adjoint(extrapolate(mu, mu_prev))
+    x = detached(x, mu)
+    del mu  # a temporary handed in dies before the resolvent runs
     for xi, ui in zip(x.blocks, u.blocks):
         np.multiply(tau, xi, out=xi)
         np.subtract(ui, xi, out=xi)

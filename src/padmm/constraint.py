@@ -28,6 +28,12 @@ class LinearMap:
     domain layout and never overlaps ``h``; the map writes the result
     into it and returns it, or ignores it and returns a fresh vector.
     Power iteration uses it in place of the composition.
+
+    ``adjoint_extrapolated``, when set, is ``adjoint_extrapolated(a, b)``
+    -> A*(2a - b) computed directly; it must agree with
+    ``adjoint(extrapolate(a, b))`` bit for bit, return fresh arrays and
+    write into neither argument.  The u-step uses it in place of the
+    composition, so that 2a - b is never stored whole.
     """
 
     apply: Callable[[BlockVector], BlockVector]
@@ -35,6 +41,8 @@ class LinearMap:
     domain_shapes: tuple
     codomain_shapes: tuple
     normal: Optional[Callable[[BlockVector, BlockVector], BlockVector]] = None
+    adjoint_extrapolated: Optional[
+        Callable[[BlockVector, BlockVector], BlockVector]] = None
 
 
 class NonlinearConstraint:

@@ -55,6 +55,8 @@ class CoilGradOperator(SeparableOperator):
         apply: h -> [(h_0 c_j + u0 h_j)_j ; grad h_i per i]
         adjoint: w -> [sum_j conj(c_j) w_j + grad* w_n ;
                        conj(u0) w_j + grad* w_{n+1+j} per coil j]
+        adjoint_extrapolated: a, b -> adjoint(2a - b), each block
+                       2a_i - b_i formed in scratch as it is read
         normal: h, out -> adjoint(apply(h)), one coil at a time, into out
 
         The coil rows act pixel by pixel.  In particular the adjoint's
@@ -65,8 +67,10 @@ class CoilGradOperator(SeparableOperator):
         u0, coils, n = u[0], u.blocks[1:], self.n
         conj_u0 = np.conj(u0)
         # per-Jacobian scratch, shared by the closures below (one call at
-        # a time); conj(c_j) is formed on the fly into ``tmp``
-        r, tmp = (np.empty(self.shape, dtype=np.complex128) for _ in range(2))
+        # a time): two fields, which together hold one gradient block;
+        # conj(c_j) is formed on the fly into ``tmp``
+        scratch = np.empty((2,) + self.shape, dtype=np.complex128)
+        r, tmp = scratch
         flat_tmp = tmp.reshape(-1)
 
         # Rows are accumulated in place, in the order of the formulas
@@ -79,17 +83,31 @@ class CoilGradOperator(SeparableOperator):
                 rows.append(row)
             return BlockVector(rows + [grad(b) for b in h.blocks])
 
-        def adjoint(w: BlockVector) -> BlockVector:
+        # The adjoint of the v-vector whose block i is ``block(i)``, which
+        # is read once: coil block j feeds h0 and row j, then come the
+        # grad* terms.  A coil block may live in ``r``, a gradient block
+        # in the whole scratch.
+        def adjoint_of(block) -> BlockVector:
             h0 = np.zeros(self.shape, dtype=np.complex128)
+            rows = []
             for j, c in enumerate(coils):
-                h0 += np.multiply(np.conj(c, out=tmp), w[j], out=tmp)
-            h0 += grad_adjoint(w[n])
-            rows = [h0]
-            for j in range(n):
-                row = conj_u0 * w[j]
-                row += grad_adjoint(w[n + 1 + j])
-                rows.append(row)
-            return BlockVector(rows)
+                w = block(j)
+                h0 += np.multiply(np.conj(c, out=tmp), w, out=tmp)
+                rows.append(conj_u0 * w)
+            h0 += grad_adjoint(block(n))
+            for j, row in enumerate(rows):
+                row += grad_adjoint(block(n + 1 + j))
+            return BlockVector([h0] + rows)
+
+        def adjoint(w: BlockVector) -> BlockVector:
+            return adjoint_of(w.__getitem__)
+
+        # 2a - b as admm.extrapolate forms it, one block at a time
+        def adjoint_extrapolated(a: BlockVector, b: BlockVector) -> BlockVector:
+            def block(i):
+                bar = np.multiply(2.0, a[i], out=r if i < n else scratch)
+                return np.subtract(bar, b[i], out=bar)
+            return adjoint_of(block)
 
         # adjoint(apply(h)) coil by coil: the same operations in the same
         # order, so bit-identical, without the v-layout intermediate; the
@@ -109,7 +127,8 @@ class CoilGradOperator(SeparableOperator):
 
         return LinearMap(apply=apply, adjoint=adjoint,
                          domain_shapes=self.u_shapes,
-                         codomain_shapes=self.v_shapes, normal=normal)
+                         codomain_shapes=self.v_shapes, normal=normal,
+                         adjoint_extrapolated=adjoint_extrapolated)
 
 
 def coil_weights(lam, alpha0, alpha, n: int):

@@ -9,6 +9,10 @@ variable:
     mubar^{k+1} = 2 mu^{k+1} - mu^k,
     u^{k+1}    = prox_H(u^k - tau1 JG(u^k)* mubar^{k+1}).
 
+mubar^{k+1} is never stored: :func:`descend` takes mu^{k+1} and mu^k,
+and a Jacobian with ``adjoint_extrapolated`` (the MRI one) forms it
+block by block inside its adjoint.
+
 The ADMM, handed G itself, steps :func:`descend`, then this mu-update,
 :func:`ascend`, at u^{k+1}.  So after shifting the u-sequences by one
 the iterates coincide bit for bit, which the harness here checks by
@@ -23,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .admm import (AdmmSolver, Problem, Solver, SolverConfig, SolverState,
-                   descend, dual_update, extrapolate)
+                   descend, dual_update)
 from .blocks import BlockVector, detached, sum_squares
 from .constraint import SeparableOperator
 # unused here, but benchmarks/spans.py patches and checks this attribute
@@ -68,7 +72,9 @@ class SeparableProblem:
 class PdhgmSolver(Solver):
     """The dual-first step; its state carries no v.  Its residual, as the
     ADMM's, is ||mu^{k+1} - mu^k|| / delta = ||G(u^k) - v^{k+1}||, for the
-    eliminated v; tau2 is the 1/delta that elimination assumes."""
+    eliminated v; tau2 is the 1/delta that elimination assumes.  The
+    u-step hands ``descend`` mu+ and the state's mu, so mubar = 2 mu+ - mu
+    lives only block by block inside a fused adjoint."""
 
     def __init__(self, problem: SeparableProblem, cfg: SolverConfig):
         super().__init__(cfg)
@@ -79,8 +85,7 @@ class PdhgmSolver(Solver):
         mu_new, residual = ascend(p.g, state.u, state.mu, p.prox_j, delta)
         jac = p.g.jac(state.u)
         tau1, eig_a = self.step_size(jac, state.eig_a)
-        u_new = descend(jac, tau1, state.u, extrapolate(mu_new, state.mu),
-                        p.prox_h)
+        u_new = descend(jac, tau1, state.u, mu_new, state.mu, p.prox_h)
         return SolverState(
             u=u_new, v=None, mu=mu_new, mu_prev=None, k=state.k + 1,
             tau1=tau1, tau2=1.0 / delta, residual=residual, eig_a=eig_a,

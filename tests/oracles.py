@@ -42,6 +42,14 @@ def bit_identical(a, b):
             and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
 
 
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: NaN payloads and signs of zero
+    included, where :func:`bit_identical` takes no NaN."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
 def signed_zero_field(rng, shape, kind):
     """A real, complex or non-contiguous field with signed zeros mixed in."""
     wide = shape[:-1] + (2 * shape[-1],) if kind == "strided" else shape

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padmm.admm
-from padmm.admm import Solver, SolverConfig
+from padmm.admm import Solver, SolverConfig, extrapolate
 from padmm.blocks import BlockVector
 from padmm.fields import grad
 from padmm.mri import (CoilGradOperator, MriProblem, assemble_prox_j,
@@ -19,7 +19,8 @@ from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx)
 
 from oracles import (adjoint_check, bit_identical, coil_jac_rows,
-                     fd_jacobian_check, random_like, signed_zero_field)
+                     fd_jacobian_check, random_like, same_bits,
+                     signed_zero_field)
 
 
 def small_problem(n_coils=2, size=6, seed=0):
@@ -199,6 +200,63 @@ class TestCoilGradOperator:
             fresh = jac.normal(d, BlockVector.zeros(op.u_shapes))
             for a, b in zip(got.blocks, fresh.blocks):
                 assert bit_identical(a, b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 8),
+           st.sampled_from(["real", "complex", "strided"]),
+           st.sampled_from(["u", "a", "b"]), st.integers(0, 10_000),
+           st.sampled_from([complex("inf"), complex(0.0, -float("inf")),
+                            complex("nan"), complex(-float("inf"), -0.0)]),
+           st.integers(0, 10_000))
+    def test_adjoint_extrapolated_is_adjoint_of_extrapolate(
+            self, n, h, w, kind, where, at, value, seed):
+        rng = np.random.default_rng(seed)
+        op = CoilGradOperator(n, (h, w))
+        u = BlockVector([signed_zero_field(rng, s, kind) for s in op.u_shapes])
+        a, b = (BlockVector([signed_zero_field(rng, s, kind)
+                             for s in op.v_shapes]) for _ in range(2))
+        vec = {"u": u, "a": a, "b": b}[where]
+        block = vec.blocks[at % len(vec)]
+        block.flat[at % block.size] = value
+        before = a.copy(), b.copy()
+        jac = op.jac(u)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = jac.adjoint_extrapolated(a, b)
+            kept = got.copy()
+            want = jac.adjoint(extrapolate(a, b))
+            # fresh arrays: a second call does not write into the first's
+            jac.adjoint_extrapolated(b, a)
+        assert got.shapes == want.shapes == op.u_shapes
+        for x, y, z in zip(got.blocks, want.blocks, kept.blocks):
+            assert same_bits(x, y) and same_bits(x, z)
+            assert not any(np.shares_memory(x, v)
+                           for v in a.blocks + b.blocks + u.blocks)
+        for now, then in zip(a.blocks + b.blocks,
+                             before[0].blocks + before[1].blocks):
+            assert same_bits(now, then)
+
+    def test_adjoint_extrapolated_never_stores_the_extrapolation(self):
+        # one coil block in a scratch field, one gradient block in both,
+        # and grad*'s own output: about 1.1 fields above the 5-field
+        # output; a stored 2a - b would add its 14 fields, fresh blocks
+        # per call at least 3
+        rng = np.random.default_rng(12)
+        op = CoilGradOperator(4, (48, 48))
+        u = random_like(BlockVector.zeros(op.u_shapes), rng)
+        a, b = (random_like(BlockVector.zeros(op.v_shapes), rng)
+                for _ in range(2))
+        jac = op.jac(u)
+        field = 48 * 48 * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = jac.adjoint_extrapolated(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        out = sum(x.nbytes for x in got.blocks)
+        assert out == 5 * field
+        assert peak <= out + 2 * field
 
 
 class TestProblemValidation:
