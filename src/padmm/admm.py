@@ -4,8 +4,8 @@ One iteration, in order:
 
 1. freeze the u-Jacobian A at (u^k, v^k) and set tau1 = theta / (delta ||A||^2),
 2. u^{k+1} = prox_H(u^k - tau1 A* mubar^k),
-3. freeze the v-Jacobian B at (u^{k+1}, v^k) and set tau2 analogously,
-   or to a configured override,
+3. freeze the v-Jacobian B at (u^{k+1}, v^k) and set
+   tau2 = theta / (delta ||B||^2),
 4. v^{k+1} = prox_J(v^k - tau2 B* (mu^k + delta F(u^{k+1}, v^k))),
 5. mu^{k+1} = mu^k + delta F(u^{k+1}, v^{k+1}),
 6. mubar^{k+1} = 2 mu^{k+1} - mu^k, which is never stored: the next
@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockVector, detached
+from .blocks import BlockVector, detached, extrapolated_block
 from .constraint import LinearMap, NonlinearConstraint, SeparableOperator
 from .opnorm import estimate_opnorm
 from .prox import ProxOp
@@ -53,6 +53,9 @@ from .prox import ProxOp
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of both solvers.  ``tau2_override`` steers no step:
+    AdmmSolver accepts it only as 1/delta on a separable constraint."""
+
     delta: float = 1.0
     theta: float = 0.99
     max_iterations: int = 1500
@@ -216,19 +219,20 @@ class AdmmSolver(Solver):
 
     def __init__(self, constraint: NonlinearConstraint | SeparableOperator,
                  prox_h: ProxOp, prox_j: ProxOp, cfg: SolverConfig):
-        if (isinstance(constraint, SeparableOperator)
-                and cfg.tau2_override not in (None, 1.0 / cfg.delta)):
-            raise ValueError("a separable constraint takes tau2 = 1/delta; "
-                             f"tau2_override is {cfg.tau2_override!r}")
+        if cfg.tau2_override is not None and not (
+                isinstance(constraint, SeparableOperator)
+                and cfg.tau2_override == 1.0 / cfg.delta):
+            raise ValueError(
+                "tau2 comes from the step rule; tau2_override may only be "
+                f"1/delta on a separable constraint, not {cfg.tau2_override!r}")
         super().__init__(cfg)
         self.constraint = constraint
         self.prox_h = prox_h
         self.prox_j = prox_j
 
     def step(self, state: SolverState) -> SolverState:
-        cfg = self.cfg
         F = self.constraint
-        delta = cfg.delta
+        delta = self.cfg.delta
 
         separable = isinstance(F, SeparableOperator)
         a = F.jac(state.u) if separable else F.jac_u(state.u, state.v)
@@ -244,11 +248,7 @@ class AdmmSolver(Solver):
                 tau1=tau1, tau2=1.0 / delta, residual=residual, eig_a=eig_a)
 
         b = F.jac_v(u_new, state.v)
-        eig_b = state.eig_b
-        if cfg.tau2_override is not None:
-            tau2 = cfg.tau2_override
-        else:
-            tau2, eig_b = self.step_size(b, eig_b)
+        tau2, eig_b = self.step_size(b, state.eig_b)
         v_new = descend(b, tau2, state.v, dual_update(
             detached(F.evaluate(u_new, state.v), u_new, state.v),
             state.mu, delta), None, self.prox_j)
@@ -256,10 +256,8 @@ class AdmmSolver(Solver):
         residual = r.norm()
         mu = dual_update(r, state.mu, delta)
         return SolverState(
-            u=u_new, v=v_new, mu=mu, mu_prev=state.mu,
-            k=state.k + 1, tau1=tau1, tau2=tau2, residual=residual,
-            eig_a=eig_a, eig_b=eig_b,
-        )
+            u=u_new, v=v_new, mu=mu, mu_prev=state.mu, k=state.k + 1,
+            tau1=tau1, tau2=tau2, residual=residual, eig_a=eig_a, eig_b=eig_b)
 
     @staticmethod
     def start(u0: BlockVector, v0: Optional[BlockVector],
@@ -305,11 +303,8 @@ def dual_update(x: BlockVector, mu: BlockVector, delta: float) -> BlockVector:
 
 def extrapolate(mu_new: BlockVector, mu: BlockVector) -> BlockVector:
     """mubar = 2 mu_new - mu, into fresh arrays."""
-    blocks = []
-    for ni, mi in zip(mu_new.blocks, mu.blocks):
-        bar = np.multiply(2.0, ni)
-        blocks.append(np.subtract(bar, mi, out=bar))
-    return BlockVector(blocks)
+    return BlockVector([extrapolated_block(ni, mi)
+                        for ni, mi in zip(mu_new.blocks, mu.blocks)])
 
 
 def run(problem: Problem, cfg: SolverConfig):

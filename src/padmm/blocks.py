@@ -86,6 +86,12 @@ def sum_squares(b: np.ndarray):
     return np.dot(r, r)
 
 
+def extrapolated_block(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """2a - b, as 2 * a then minus b, into ``out`` or a fresh array."""
+    bar = np.multiply(2.0, a, out=out)
+    return np.subtract(bar, b, out=bar)
+
+
 def detached(x: BlockVector, *sources: BlockVector) -> BlockVector:
     """``x``, or a copy of it when one of its blocks may share memory with
     the same block of a source.

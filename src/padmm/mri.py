@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockVector
+from .blocks import BlockVector, extrapolated_block
 from .constraint import LinearMap, SeparableOperator
 from .fields import grad, grad_adjoint, grad_normal
 from .pdhgm import SeparableProblem
@@ -102,12 +102,10 @@ class CoilGradOperator(SeparableOperator):
         def adjoint(w: BlockVector) -> BlockVector:
             return adjoint_of(w.__getitem__)
 
-        # 2a - b as admm.extrapolate forms it, one block at a time
+        # 2a - b one block at a time, each in scratch as it is read
         def adjoint_extrapolated(a: BlockVector, b: BlockVector) -> BlockVector:
-            def block(i):
-                bar = np.multiply(2.0, a[i], out=r if i < n else scratch)
-                return np.subtract(bar, b[i], out=bar)
-            return adjoint_of(block)
+            return adjoint_of(lambda i: extrapolated_block(
+                a[i], b[i], out=r if i < n else scratch))
 
         # adjoint(apply(h)) coil by coil: the same operations in the same
         # order, so bit-identical, without the v-layout intermediate; the

@@ -4,15 +4,17 @@ reference kernels, the hypot reference norm, flattening and dense maps,
 finite-difference and adjoint checks, callable constraints and
 operators, a closed-form resolvent, the solver steps as BlockVector
 arithmetic, the ADMM with an explicit v against the dual-first stream,
-the interleaving ``.pad`` block codec, the metrics-file parser and the
-stamp-per-thickness spiral mask search."""
+a dense surrogate step against direct solves, the interleaving ``.pad``
+block codec, the metrics-file parser and the stamp-per-thickness spiral
+mask search."""
 
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
 
-from padmm.admm import AdmmSolver, SolverState
+from padmm.admm import AdmmSolver, SolverConfig, SolverState
 from padmm.blocks import BlockVector
 from padmm.constraint import LinearMap, NonlinearConstraint, SeparableOperator
 from padmm.fields import grad, grad_adjoint
@@ -198,27 +200,39 @@ class CallableOperator(SeparableOperator):
 
 
 def explicit_v_constraint(g: SeparableOperator) -> CallableConstraint:
-    """G(u) - v = 0 in the paper's form, with the v-Jacobian -I: the
-    ADMM steps on it with v in its state, through the general path."""
+    """G(u) - v = 0 in the paper's form, with the v-Jacobian -I, whose
+    apply and adjoint are ``operator.neg``: the ADMM steps on it with v
+    in its state, through the general path."""
     return CallableConstraint(
         evaluate=lambda u, v: g.evaluate(u) - v,
         jac_u=lambda u, v: g.jac(u),
-        jac_v=lambda u, v: LinearMap(lambda h: -h, lambda w: -w,
+        jac_v=lambda u, v: LinearMap(operator.neg, operator.neg,
                                      v.shapes, v.shapes))
 
 
+class ExactVAdmm(AdmmSolver):
+    """The ADMM whose v-step on the -I of :func:`explicit_v_constraint`
+    takes tau2 = 1/delta: Q2 = 1/tau2 - delta B*B = 0, the exact
+    v-minimization of the paper's connection result.  Any other map
+    keeps the step rule's theta / (delta ||map||^2)."""
+
+    def step_size(self, linmap, start):
+        if linmap.adjoint is operator.neg:
+            return 1.0 / self.cfg.delta, start
+        return super().step_size(linmap, start)
+
+
 def explicit_v_deviation(problem, cfg, iterations: int) -> float:
-    """Max relative u-deviation between the ADMM with an explicit v on
-    ``explicit_v_constraint(problem.g)`` (tau2 = 1/delta, v0 = 0) and the
-    dual-first iteration, walked as ``equivalence_check`` walks them:
-    the dual-first stream starts from the first ADMM iterate's u and
+    """Max relative u-deviation between :class:`ExactVAdmm` on
+    ``explicit_v_constraint(problem.g)`` (v0 = 0) and the dual-first
+    iteration, walked as ``equivalence_check`` walks them: the
+    dual-first stream starts from the first ADMM iterate's u and
     eigenvector, and its iterate k meets ADMM iterate k + 1."""
     from padmm.pdhgm import PdhgmSolver  # pdhgm imports padmm.admm
 
-    admm = AdmmSolver(explicit_v_constraint(problem.g), problem.prox_h,
+    admm = ExactVAdmm(explicit_v_constraint(problem.g), problem.prox_h,
                       problem.prox_j,
-                      replace(cfg, tau2_override=1.0 / cfg.delta,
-                              max_iterations=iterations + 1))
+                      replace(cfg, max_iterations=iterations + 1))
     admm_states = admm.iterates(admm.start(
         problem.u0, BlockVector.zeros(problem.mu0.shapes), problem.mu0))
     first = next(admm_states)
@@ -270,6 +284,58 @@ class QuadraticAnchorProx(ProxOp):
         return 0.5 * self.weight * float(np.sum(np.abs(d) ** 2))
 
 
+def dense_surrogate_step():
+    """One ADMM step on a dense affine instance, F(u, v) = K u - v - c
+    with quadratic H and J (seed 2), and the direct linear solves of the
+    stationarity systems of its two linearized subproblems,
+
+        delta/2 ||K u - v_k - c||^2 + <mu_k, K u> + H(u) + 1/2 ||u - u_k||_Q1^2
+        delta/2 ||K u+ - v - c||^2 - <mu_k, v> + J(v) + 1/2 ||v - v_k||_Q2^2
+
+    with Q1 = (1/tau1) I - delta K*K and Q2 = (1/tau2) I - delta I.
+    Returns the state, mu_k, both solutions as flat vectors and the
+    multiplier update mu_k + delta F(u+, v+) as BlockVector arithmetic."""
+    rng = np.random.default_rng(2)
+    n = 6
+    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    shapes = ((n,),)
+    c = random_like(BlockVector.zeros(shapes), rng)
+    F = affine_constraint(k, c)
+
+    wh, wj = 0.8, 1.3
+    anchor_u = random_like(BlockVector.zeros(shapes), rng)
+    anchor_v = random_like(BlockVector.zeros(shapes), rng)
+    u_k = random_like(BlockVector.zeros(shapes), rng)
+    v_k = random_like(BlockVector.zeros(shapes), rng)
+    mu_prev = random_like(BlockVector.zeros(shapes), rng)
+    delta = 0.7
+    # consistent dual pair: mu_k produced by the multiplier update
+    mu_k = mu_prev + delta * F.evaluate(u_k, v_k)
+
+    cfg = SolverConfig(delta=delta, theta=0.9, max_iterations=1,
+                       power_iter_tol=1e-14, power_iter_max=5000)
+    solver = AdmmSolver(F, QuadraticAnchorProx(anchor_u, wh),
+                        QuadraticAnchorProx(anchor_v, wj), cfg)
+    state = solver.step(SolverState(u=u_k, v=v_k, mu=mu_k, mu_prev=mu_prev))
+
+    eye = np.eye(n, dtype=complex)
+    khk = k.conj().T @ k
+    q1 = (1.0 / state.tau1) * eye - delta * khk
+    m_u = delta * khk + wh * eye + q1
+    rhs_u = (delta * k.conj().T @ ravel(c + v_k) - k.conj().T @ ravel(mu_k)
+             + wh * ravel(anchor_u) + q1 @ ravel(u_k))
+
+    q2 = (1.0 / state.tau2) * eye - delta * eye
+    c2 = ravel(c - from_ravel(k @ ravel(state.u), shapes))
+    m_v = delta * eye + wj * eye + q2
+    rhs_v = (-delta * c2 + ravel(mu_k)
+             + wj * ravel(anchor_v) + q2 @ ravel(v_k))
+
+    mu_direct = mu_k + delta * F.evaluate(state.u, state.v)
+    return (state, mu_k, np.linalg.solve(m_u, rhs_u),
+            np.linalg.solve(m_v, rhs_v), mu_direct)
+
+
 def reference_admm_step(solver, state: SolverState) -> SolverState:
     """Reference ``AdmmSolver.step``: each update as BlockVector
     arithmetic, the same operations in the same order, so the states
@@ -295,12 +361,7 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
         )
 
     b = F.jac_v(u_new, state.v)
-    eig_b = state.eig_b
-    if cfg.tau2_override is not None:
-        tau2 = cfg.tau2_override
-    else:
-        tau2, eig_b = solver.step_size(b, eig_b)
-
+    tau2, eig_b = solver.step_size(b, state.eig_b)
     v_new = solver.prox_j.apply(
         state.v - tau2 * b.adjoint(
             state.mu + cfg.delta * F.evaluate(u_new, state.v)),

@@ -28,9 +28,9 @@ from padmm.pipeline import (config_from_dict, evaluate, mri_problem,
 from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                         IdentityProx, conjugate_apply)
 
-from oracles import (QuadraticAnchorProx, adjoint_check, affine_constraint,
-                     explicit_v_deviation, fd_jacobian_check, from_ravel,
-                     random_field, random_gradient, random_like, ravel)
+from oracles import (QuadraticAnchorProx, adjoint_check, dense_surrogate_step,
+                     explicit_v_deviation, fd_jacobian_check, random_field,
+                     random_gradient, random_like, ravel)
 from test_admm import scalar_consensus
 
 
@@ -168,50 +168,11 @@ class TestCriterion2:
 
 class TestCriterion3:
     def test_dense_surrogate_algebra(self):
-        rng = np.random.default_rng(2)
-        n = 6
-        k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        shapes = ((n,),)
-        c = random_like(BlockVector.zeros(shapes), rng)
-        F = affine_constraint(k, c)
-        wh, wj = 0.8, 1.3
-        anchor_u = random_like(BlockVector.zeros(shapes), rng)
-        anchor_v = random_like(BlockVector.zeros(shapes), rng)
-
-        u_k = random_like(BlockVector.zeros(shapes), rng)
-        v_k = random_like(BlockVector.zeros(shapes), rng)
-        mu_prev = random_like(BlockVector.zeros(shapes), rng)
-        delta = 0.7
-        mu_k = mu_prev + delta * F.evaluate(u_k, v_k)
-
-        solver = AdmmSolver(
-            F, QuadraticAnchorProx(anchor_u, wh),
-            QuadraticAnchorProx(anchor_v, wj),
-            SolverConfig(delta=delta, theta=0.9, max_iterations=1,
-                         power_iter_tol=1e-14, power_iter_max=5000),
-        )
-        state = solver.step(SolverState(u=u_k, v=v_k, mu=mu_k, mu_prev=mu_prev))
-
-        eye = np.eye(n, dtype=complex)
-        khk = k.conj().T @ k
-        q1 = (1.0 / state.tau1) * eye - delta * khk
-        m_u = delta * khk + wh * eye + q1
-        rhs_u = (delta * k.conj().T @ ravel(c + v_k)
-                 - k.conj().T @ ravel(mu_k)
-                 + wh * ravel(anchor_u) + q1 @ ravel(u_k))
-        u_direct = np.linalg.solve(m_u, rhs_u)
+        state, _, u_direct, v_direct, _ = dense_surrogate_step()
         ok = np.linalg.norm(ravel(state.u) - u_direct) \
             <= 1e-10 * max(np.linalg.norm(u_direct), 1.0)
-
-        q2 = (1.0 / state.tau2 - delta) * eye
-        c2 = ravel(c - from_ravel(k @ ravel(state.u), shapes))
-        m_v = (delta + wj) * eye + q2
-        rhs_v = (-delta * c2 + ravel(mu_k)
-                 + wj * ravel(anchor_v) + q2 @ ravel(v_k))
-        v_direct = np.linalg.solve(m_v, rhs_v)
         ok &= np.linalg.norm(ravel(state.v) - v_direct) \
             <= 1e-10 * max(np.linalg.norm(v_direct), 1.0)
-
         report(3, "dense surrogate algebra pin", ok)
 
 

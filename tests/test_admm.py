@@ -13,7 +13,8 @@ from padmm.constraint import LinearMap
 from padmm.prox import IdentityProx
 
 from oracles import (CallableConstraint, QuadraticAnchorProx,
-                     affine_constraint, from_ravel, random_like, ravel)
+                     affine_constraint, dense_surrogate_step, random_like,
+                     ravel)
 from test_steps import general_b_problem
 
 
@@ -94,19 +95,27 @@ class TestStepSizes:
         delta, theta = 1.7, 0.9
         cfg = SolverConfig(delta=delta, theta=theta, max_iterations=5,
                            power_iter_tol=1e-13, power_iter_max=5000)
-        tau1s = [st.tau1 for st in states(problem, cfg)]
+        steps = list(states(problem, cfg))
+        tau1s = [st.tau1 for st in steps]
         assert len(tau1s) == 5
         for tau1 in tau1s:
             assert abs(tau1 * delta * norm_k ** 2 - theta) < 1e-6
         # tau * delta * ||op||^2 < 1 is the positive-definiteness margin
         for tau1 in tau1s:
             assert tau1 * delta * norm_k ** 2 < 1.0
+        # the v-step's tau2 comes from the same rule, with ||-I|| = 1
+        for st in steps:
+            assert abs(st.tau2 * delta - theta) < 1e-6
+            assert st.tau2 * delta < 1.0
 
-    def test_tau2_override_is_used_verbatim(self):
+    @pytest.mark.parametrize("tau2", [0.123, 1.0 / 0.7])
+    def test_tau2_override_rejected_on_a_general_constraint(self, tau2):
+        # tau2 comes from the step rule there; the override may only
+        # assert the separable step's exact 1/delta
         problem, _, _ = scalar_consensus()
-        cfg = SolverConfig(max_iterations=3, tau2_override=0.123)
-        tau2s = [st.tau2 for st in states(problem, cfg)]
-        assert tau2s == [0.123] * 3
+        with pytest.raises(ValueError, match="tau2"):
+            AdmmSolver(problem.constraint, problem.prox_h, problem.prox_j,
+                       SolverConfig(delta=0.7, tau2_override=tau2))
 
     def test_opnorm_budget_warning_reaches_the_caller(self):
         # the stream silences numpy's overflow warnings, not this one
@@ -193,67 +202,19 @@ class TestStepOrder:
 
 
 class TestSurrogateAlgebra:
-    """The prox-form update must solve the penalized linearized subproblem.
-
-    One step on a dense affine instance is compared against a direct
-    linear solve of the stationarity system of
-
-        delta/2 ||A u - c1||^2 + <mu, A u> + H(u) + 1/2 ||u - u_k||_Q^2
-
-    with Q = (1/tau) I - delta A* A, and the analogous v-subproblem.
-    """
+    """The prox-form update must solve the penalized linearized
+    subproblems (``oracles.dense_surrogate_step`` sets them out)."""
 
     def test_dense_updates_match_direct_solves(self):
-        rng = np.random.default_rng(2)
-        n = 6
-        k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        shapes = ((n,),)
-        c = random_like(BlockVector.zeros(shapes), rng)
-        F = affine_constraint(k, c)
-
-        wh, wj = 0.8, 1.3
-        anchor_u = random_like(BlockVector.zeros(shapes), rng)
-        anchor_v = random_like(BlockVector.zeros(shapes), rng)
-        prox_h = QuadraticAnchorProx(anchor_u, wh)
-        prox_j = QuadraticAnchorProx(anchor_v, wj)
-
-        u_k = random_like(BlockVector.zeros(shapes), rng)
-        v_k = random_like(BlockVector.zeros(shapes), rng)
-        mu_prev = random_like(BlockVector.zeros(shapes), rng)
-        delta = 0.7
-        # consistent dual pair: mu_k produced by the multiplier update
-        mu_k = mu_prev + delta * F.evaluate(u_k, v_k)
-
-        cfg = SolverConfig(delta=delta, theta=0.9, max_iterations=1,
-                           power_iter_tol=1e-14, power_iter_max=5000)
-        solver = AdmmSolver(F, prox_h, prox_j, cfg)
-        state = solver.step(SolverState(u=u_k, v=v_k, mu=mu_k, mu_prev=mu_prev))
-
-        eye = np.eye(n, dtype=complex)
-        khk = k.conj().T @ k
-
-        # u-subproblem: stationarity of the surrogate objective
-        q1 = (1.0 / state.tau1) * eye - delta * khk
-        c1 = ravel(c + v_k)
-        m_u = delta * khk + wh * eye + q1
-        rhs_u = (delta * k.conj().T @ c1 - k.conj().T @ ravel(mu_k)
-                 + wh * ravel(anchor_u) + q1 @ ravel(u_k))
-        u_direct = np.linalg.solve(m_u, rhs_u)
+        state, mu_k, u_direct, v_direct, mu_direct = dense_surrogate_step()
         scale = max(np.linalg.norm(u_direct), 1.0)
         assert np.linalg.norm(ravel(state.u) - u_direct) <= 1e-10 * scale
 
         # v-subproblem with B = -I
-        q2 = (1.0 / state.tau2) * eye - delta * eye
-        c2 = ravel(c - from_ravel(k @ ravel(state.u), shapes))
-        m_v = delta * eye + wj * eye + q2
-        rhs_v = (-delta * c2 + ravel(mu_k)
-                 + wj * ravel(anchor_v) + q2 @ ravel(v_k))
-        v_direct = np.linalg.solve(m_v, rhs_v)
         scale = max(np.linalg.norm(v_direct), 1.0)
         assert np.linalg.norm(ravel(state.v) - v_direct) <= 1e-10 * scale
 
         # multiplier update; the next step extrapolates from mu_k itself
-        mu_direct = mu_k + delta * F.evaluate(state.u, state.v)
         assert (state.mu - mu_direct).norm() == 0
         assert state.mu_prev is mu_k
 

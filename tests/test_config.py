@@ -192,3 +192,21 @@ def test_no_settings_check_a_caller_can_skip():
     for cls in SETTINGS:
         assert cls.__dataclass_params__.frozen, cls.__name__
         assert "__post_init__" in vars(cls), cls.__name__
+
+
+def test_only_the_settings_checks_read_tau2_override():
+    # tau2 comes from the step rule, so no step reads the field: it only
+    # asserts the separable step's 1/delta, and deleting it touches the
+    # two checks alone
+    readers = set()
+    for path in sorted(Path(padmm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {node: f"{cls.name}.{fn.name}"
+                 for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        readers |= {scope.get(node, f"{path.name}:{node.lineno}")
+                    for node in ast.walk(tree)
+                    if getattr(node, "attr", None) == "tau2_override"
+                    or getattr(node, "value", None) == "tau2_override"}
+    assert readers == {"SolverConfig.__post_init__", "AdmmSolver.__init__"}
