@@ -8,7 +8,11 @@ array; all vector-space operations act blockwise.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+CACHE_LINE = 64
 
 
 class BlockVector:
@@ -21,7 +25,7 @@ class BlockVector:
 
     @classmethod
     def zeros(cls, shapes) -> "BlockVector":
-        return cls([np.zeros(s, dtype=np.complex128) for s in shapes])
+        return cls([cache_aligned(s, zero=True) for s in shapes])
 
     @property
     def shapes(self):
@@ -43,7 +47,9 @@ class BlockVector:
         return BlockVector([a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __mul__(self, scalar):
-        return BlockVector([scalar * b for b in self.blocks])
+        # into aligned blocks: power iteration's normalised start is one
+        return BlockVector([np.multiply(scalar, b, out=cache_aligned(b.shape))
+                            for b in self.blocks])
 
     __rmul__ = __mul__
 
@@ -71,6 +77,22 @@ class BlockVector:
 
     def __repr__(self):
         return f"BlockVector(shapes={self.shapes})"
+
+
+def cache_aligned(shape, zero: bool = False) -> np.ndarray:
+    """A C-contiguous complex128 array of ``shape`` (a tuple) whose data
+    starts on a 64-byte cache line; uninitialised, or zero-filled with
+    ``zero``.
+
+    numpy and glibc start a large array 16 bytes past a line, and a
+    vectorised loop that writes there runs at about half speed (reads
+    and in-place updates are not slowed).  The array views a byte buffer
+    over-allocated by one line, which it keeps alive.
+    """
+    nbytes = 16 * math.prod(shape)
+    buf = (np.zeros if zero else np.empty)(nbytes + CACHE_LINE, dtype=np.uint8)
+    skip = -buf.ctypes.data % CACHE_LINE
+    return buf[skip:skip + nbytes].view(np.complex128).reshape(shape)
 
 
 def _real_view(b: np.ndarray) -> np.ndarray:

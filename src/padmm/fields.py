@@ -24,10 +24,14 @@ input the discarded wrapped terms can raise a floating-point warning
 that the 2-D form would not.
 
 ``grad_normal`` fuses ``grad_adjoint(grad(img))`` into caller-owned
-buffers, without the (2, H, W) intermediate.  Its ``dx`` has a +0 last
-column, and ``0 - dx`` is never -0, so adding ``dx_left`` across the
-row wrap leaves column 0 unchanged and the save and restore of
-``grad_adjoint`` is not needed.
+buffers, without the (2, H, W) intermediate, on a band of rows [a, b):
+it writes those rows and reads rows a-1..b of ``img``, so a caller can
+run it band by band while the band is in cache.  Its ``dx`` has a +0
+last column, and ``0 - dx`` is never -0, so adding ``dx_left`` across
+the row wrap leaves column 0 unchanged and the save and restore of
+``grad_adjoint`` is not needed; a band's first pixel skips that add.
+Every output value takes the same operations in the same order for any
+band, so the bits do not depend on how the rows are split.
 """
 
 from __future__ import annotations
@@ -69,27 +73,38 @@ def grad_adjoint(g: np.ndarray) -> np.ndarray:
     return out.reshape(g.shape[1:])
 
 
-def grad_normal(img: np.ndarray, out: np.ndarray,
-                scratch: np.ndarray) -> np.ndarray:
-    """``grad_adjoint(grad(img))``, bit for bit, written into ``out``.
+def grad_normal(img: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                a: int = 0, b: int | None = None) -> np.ndarray:
+    """Rows a..b-1 of ``grad_adjoint(grad(img))``, bit for bit, written
+    into the same rows of ``out``; returns those rows.
 
-    ``out`` is a C-contiguous (H, W) complex field and ``scratch`` a flat
-    complex array of H*W entries; neither may overlap ``img``, and both
-    are overwritten.  ``scratch`` holds dx, then dy once dx is consumed.
+    Reads rows a-1..b of ``img``.  The default band [0, H) is the whole
+    field.  ``out`` is a C-contiguous (H, W) complex field and
+    ``scratch`` a flat complex array of at least (b - a + 1)*W entries,
+    one row fewer when the band holds the first or the last row; neither
+    may overlap ``img``, and only rows a..b-1 of ``out`` and those first
+    entries of ``scratch`` are written.  ``scratch`` holds dx of the
+    band, then dy of rows a-1..b-1 once dx is consumed.
     """
     if not out.flags.c_contiguous:
         raise ValueError("grad_normal writes through out's flat view")
-    w = img.shape[1]
+    h, w = img.shape
+    b = h if b is None else b
+    lo, hi = a * w, b * w
     f = img.reshape(-1)
-    o, d = out.reshape(-1), scratch
-    np.subtract(f[1:], f[:-1], out=d[:-1])
-    d[w - 1::w] = 0
-    np.subtract(0.0, d, out=o)
-    o[1:] += d[:-1]
-    np.subtract(f[w:], f[:-w], out=d[:-w])
-    o[:-w] -= d[:-w]
-    o[w:] += d[:-w]
-    return out
+    o = out.reshape(-1)[lo:hi]
+    dx = scratch[:hi - lo]
+    np.subtract(f[lo + 1:hi], f[lo:hi - 1], out=dx[:-1])
+    dx[w - 1::w] = 0
+    np.subtract(0.0, dx, out=o)
+    o[1:] += dx[:-1]
+    # dy of the row above the band (if any) through the last row but one
+    top, end = max(lo - w, 0), min(hi, (h - 1) * w)
+    dy = scratch[:end - top]
+    np.subtract(f[top + w:end + w], f[top:end], out=dy)
+    o[:end - lo] -= dy[lo - top:]
+    o[top + w - lo:] += dy[:hi - w - top]
+    return out[a:b]
 
 
 def dft2(img: np.ndarray) -> np.ndarray:

@@ -19,12 +19,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockVector, extrapolated_block
+from .blocks import BlockVector, cache_aligned, extrapolated_block
 from .constraint import LinearMap, SeparableOperator
 from .fields import grad, grad_adjoint, grad_normal
 from .pdhgm import SeparableProblem
 from .prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
                    IdentityProx, SeparableSumProx)
+
+
+# The byte budget of one field's band of rows in ``normal``: one 96x96
+# complex field.  About 12 band-fields are live in its coil loop (h0, r,
+# tmp, u0, conj(u0) and h0's input, then c_j, h_j with its halo rows and
+# the output row of each coil), so a band's working set fits in a 2 MiB
+# L2.  96x96 runs as one band, 190x190 in 48-row bands.
+BAND_BYTES = 147_456
+
+
+def row_bands(shape):
+    """The [a, b) row bands of ``normal`` on a ``shape`` field: the
+    largest even row count whose band fits in BAND_BYTES, or one row
+    when two do not fit.  Even, so that on an even W every band starts
+    on a cache line.  numpy's in-place complex multiply rounds a lone
+    element on another path, so a band of one pixel in a larger field
+    could change the bits; at this BAND_BYTES that needs W = 1 and
+    H > 9216."""
+    h, w = shape
+    rows = max(BAND_BYTES // (16 * w) // 2 * 2, 1)
+    return [(a, min(a + rows, h)) for a in range(0, h, rows)]
 
 
 class CoilGradOperator(SeparableOperator):
@@ -57,7 +78,9 @@ class CoilGradOperator(SeparableOperator):
                        conj(u0) w_j + grad* w_{n+1+j} per coil j]
         adjoint_extrapolated: a, b -> adjoint(2a - b), each block
                        2a_i - b_i formed in scratch as it is read
-        normal: h, out -> adjoint(apply(h)), one coil at a time, into out
+        normal: h, out -> adjoint(apply(h)) into out, one band of rows
+                       (:func:`row_bands`) at a time and one coil at a
+                       time within a band
 
         The coil rows act pixel by pixel.  In particular the adjoint's
         coil rows conj(u0) w_j vanish wherever u0 does, so the data terms
@@ -68,10 +91,11 @@ class CoilGradOperator(SeparableOperator):
         conj_u0 = np.conj(u0)
         # per-Jacobian scratch, shared by the closures below (one call at
         # a time): two fields, which together hold one gradient block;
-        # conj(c_j) is formed on the fly into ``tmp``
-        scratch = np.empty((2,) + self.shape, dtype=np.complex128)
+        # conj(c_j) is formed on the fly into ``tmp``.  It starts on a
+        # cache line, as ``normal``'s outputs do in power iteration.
+        scratch = cache_aligned((2,) + self.shape)
         r, tmp = scratch
-        flat_tmp = tmp.reshape(-1)
+        bands = row_bands(self.shape)
 
         # Rows are accumulated in place, in the order of the formulas
         # above: h0 starts as 0 + the first product, as a ``sum`` would.
@@ -107,20 +131,28 @@ class CoilGradOperator(SeparableOperator):
             return adjoint_of(lambda i: extrapolated_block(
                 a[i], b[i], out=r if i < n else scratch))
 
-        # adjoint(apply(h)) coil by coil: the same operations in the same
-        # order, so bit-identical, without the v-layout intermediate; the
-        # rows go into ``out``'s blocks, which must not overlap ``h``
+        # adjoint(apply(h)) band by band of rows, and coil by coil in a
+        # band: the same operations in the same order per pixel, so
+        # bit-identical, without the v-layout intermediate; the rows go
+        # into ``out``'s blocks, which must not overlap ``h``.  A band's
+        # grad* grad goes into its rows of r, with scratch from its first
+        # row of tmp on: the (b - a + 1) rows it needs, or (b - a) in the
+        # last band, are free.
         def normal(h: BlockVector, out: BlockVector) -> BlockVector:
-            h0 = out[0]
-            h0.fill(0)
-            for j, c in enumerate(coils):
-                np.multiply(h[0], c, out=r)
-                np.add(r, np.multiply(u0, h[1 + j], out=tmp), out=r)
-                h0 += np.multiply(np.conj(c, out=tmp), r, out=tmp)
-                row = np.multiply(conj_u0, r, out=out[1 + j])
-                # r and tmp are free again: grad* grad h_j goes into r
-                row += grad_normal(h[1 + j], r, flat_tmp)
-            h0 += grad_normal(h[0], r, flat_tmp)
+            for a, b in bands:
+                h0, hb, rb, tb = out[0][a:b], h[0][a:b], r[a:b], tmp[a:b]
+                ub, conj_ub = u0[a:b], conj_u0[a:b]
+                band_scratch = tmp[a:].reshape(-1)
+                h0.fill(0)
+                for j, c in enumerate(coils):
+                    c = c[a:b]
+                    np.multiply(hb, c, out=rb)
+                    np.add(rb, np.multiply(ub, h[1 + j][a:b], out=tb), out=rb)
+                    h0 += np.multiply(np.conj(c, out=tb), rb, out=tb)
+                    row = np.multiply(conj_ub, rb, out=out[1 + j][a:b])
+                    # rb and tb are free again: grad* grad h_j goes into rb
+                    row += grad_normal(h[1 + j], r, band_scratch, a, b)
+                h0 += grad_normal(h[0], r, band_scratch, a, b)
             return out
 
         return LinearMap(apply=apply, adjoint=adjoint,

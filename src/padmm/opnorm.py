@@ -26,6 +26,8 @@ def estimate_opnorm(linmap: LinearMap, start: BlockVector, tol: float,
     ``adjoint(apply(.))`` otherwise.  Each step writes A* A x into a
     spare vector and rescales it in place, then the two swap roles, so
     a map whose ``normal`` honours ``out`` allocates nothing per step.
+    Both vectors start on cache lines (:func:`blocks.cache_aligned`), so
+    every A* A product is written to aligned memory.
     ``start`` is the initial vector; pass a seeded random vector for a
     deterministic fresh estimate, or the previous eigenvector to warm
     start.  ``start`` is never written to, and the returned vector

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padmm.blocks import BlockVector
+from padmm.blocks import BlockVector, cache_aligned
+from padmm.constraint import LinearMap
+from padmm.opnorm import estimate_opnorm
 
 from oracles import (from_ravel, norm_hypot, random_like, ravel,
                      signed_zero_field)
@@ -102,3 +104,55 @@ def test_isfinite_on_strided_and_scalar_blocks():
     assert BlockVector([wide[:, ::2], np.array(2j)]).isfinite()
     assert not BlockVector([wide[:, 1::2]]).isfinite()
     assert not BlockVector([np.array(complex(np.inf, 0.0))]).isfinite()
+
+
+def assert_cache_aligned(a, shape):
+    assert a.ctypes.data % 64 == 0
+    assert a.shape == shape and a.dtype == np.complex128
+    assert a.flags.c_contiguous and a.flags.writeable
+
+
+def assert_zero(a):
+    assert np.all(a == 0)
+    assert not np.signbit(a.real).any() and not np.signbit(a.imag).any()
+
+
+# one 96x96 field and one gradient block are the sizes glibc starts 16
+# bytes past a cache line, so a plain numpy allocation fails there
+_aligned_shape = st.one_of(
+    st.sampled_from([(96, 96), (2, 96, 96)]),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    st.tuples(st.just(2), st.integers(1, 12), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_aligned_shape, min_size=1, max_size=4), st.integers(0, 10_000))
+def test_cache_aligned_blocks_start_on_a_cache_line(shapes, seed):
+    for shape in shapes:
+        assert_cache_aligned(cache_aligned(shape), shape)
+        zero = cache_aligned(shape, zero=True)
+        assert_cache_aligned(zero, shape)
+        assert_zero(zero)
+    zeros = BlockVector.zeros(shapes)
+    for block, shape in zip(zeros.blocks, shapes):
+        assert_cache_aligned(block, shape)
+        assert_zero(block)
+    # power iteration's two vectors: the normalised start (returned by a
+    # map that hands its argument back) and the spare (by a normal that
+    # writes into it); the start itself is a plain numpy vector
+    start = random_like(zeros, np.random.default_rng(seed))
+
+    def doubled(h, out):
+        for a, b in zip(h.blocks, out.blocks):
+            np.multiply(2.0, a, out=b)
+        return out
+
+    identity = LinearMap(lambda x: x, lambda x: x, zeros.shapes, zeros.shapes)
+    for eigvec in (estimate_opnorm(identity, start, 0.0, 2).eigvec,
+                   estimate_opnorm(LinearMap(identity.apply, identity.adjoint,
+                                             zeros.shapes, zeros.shapes,
+                                             normal=doubled),
+                                   start, float("inf"), 1).eigvec):
+        for block, shape in zip(eigvec.blocks, shapes):
+            assert_cache_aligned(block, shape)

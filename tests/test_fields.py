@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from padmm.fields import dft2, grad, grad_adjoint, grad_normal, idft2
 
 from oracles import (bit_identical, grad_adjoint_slices, grad_map, grad_slices,
-                     materialize, random_field, random_gradient,
+                     materialize, random_field, random_gradient, same_bits,
                      signed_zero_field)
 
 
@@ -128,16 +128,36 @@ def test_flat_kernels_match_slice_references_bit_for_bit(shape, kind, seed):
 @given(_shapes, st.sampled_from(["real", "complex", "strided"]),
        st.integers(0, 10_000))
 def test_grad_normal_matches_the_composition_bit_for_bit(shape, kind, seed):
-    # garbage in the buffers (NaN, -0.0) must not reach the result
+    # garbage in the buffers (NaN, -0.0) must not reach the result, on the
+    # whole field and on every band of rows [a, b), so the bits do not
+    # depend on how a caller splits the rows; rows outside the band and
+    # scratch past the rows the band needs stay untouched
     rng = np.random.default_rng(seed)
     img = signed_zero_field(rng, shape, kind)
-    size = shape[0] * shape[1]
+    want = grad_adjoint(grad(img))
+    h, w = shape
+
+    def garbage(n):
+        return (np.where(rng.integers(0, 2, n), np.nan, -0.0)
+                + 1j * np.where(rng.integers(0, 2, n), np.nan, -0.0))
+
     out = np.full(shape, np.nan + 1j * np.nan)
-    scratch = (np.where(rng.integers(0, 2, size), np.nan, -0.0)
-               + 1j * np.where(rng.integers(0, 2, size), np.nan, -0.0))
-    got = grad_normal(img, out, scratch)
-    assert got is out
-    assert bit_identical(got, grad_adjoint(grad(img)))
+    got = grad_normal(img, out, garbage(h * w))
+    assert np.shares_memory(got, out) and got.shape == shape
+    assert bit_identical(got, want)
+    for a in range(h):
+        for b in range(a + 1, h + 1):
+            out = garbage(h * w).reshape(shape)
+            before = out.copy()
+            scratch = garbage((h + 1) * w)
+            used = (b - a + (0 < a and b < h)) * w
+            tail = scratch[used:].copy()
+            got = grad_normal(img, out, scratch, a, b)
+            assert np.shares_memory(got, out) and got.shape == (b - a, w)
+            assert bit_identical(out[a:b], want[a:b])
+            assert same_bits(np.delete(out, np.s_[a:b], axis=0),
+                             np.delete(before, np.s_[a:b], axis=0))
+            assert same_bits(scratch[used:], tail)
 
 
 def test_grad_normal_refuses_an_out_without_a_flat_view():

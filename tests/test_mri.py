@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import padmm.admm
+import padmm.mri
 from padmm.admm import Solver, SolverConfig, extrapolate
-from padmm.blocks import BlockVector
+from padmm.blocks import BlockVector, cache_aligned
 from padmm.fields import grad
 from padmm.mri import (CoilGradOperator, MriProblem, assemble_prox_j,
                        initial_unknowns, separable_problem)
@@ -21,6 +22,14 @@ from padmm.prox import (FourierFidelityProx, GlobalShrinkProx, GroupShrinkProx,
 from oracles import (adjoint_check, bit_identical, coil_jac_rows,
                      fd_jacobian_check, random_like, same_bits,
                      signed_zero_field)
+
+
+def off_line(block):
+    """A copy of ``block`` whose data starts 16 bytes past a cache line."""
+    buf = cache_aligned((block.size + 1,))
+    moved = buf[1:].reshape(block.shape)
+    moved[...] = block
+    return moved
 
 
 def small_problem(n_coils=2, size=6, seed=0):
@@ -103,14 +112,34 @@ class TestCoilGradOperator:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12),
            st.sampled_from(["real", "complex", "strided"]),
+           st.sampled_from([None, 1, 2, 4]), st.booleans(),
            st.integers(0, 10_000))
-    def test_normal_is_adjoint_of_apply_bit_for_bit(self, n, h, w, kind, seed):
-        rng = np.random.default_rng(seed)
-        op = CoilGradOperator(n, (h, w))
-        u, d = (BlockVector([signed_zero_field(rng, (h, w), kind)
-                             for _ in range(n + 1)]) for _ in range(2))
-        jac = op.jac(u)
-        got = jac.normal(d, BlockVector.zeros(op.u_shapes))
+    def test_normal_is_adjoint_of_apply_bit_for_bit(self, n, h, w, kind,
+                                                    band_rows, offset, seed):
+        # band_rows forces bands of 1, 2 or 4 rows (uneven where they do
+        # not divide h) through the byte budget, None keeps the default;
+        # with offset, h and out start 16 bytes past a cache line, where
+        # numpy's own large arrays start, and out holds NaN garbage.
+        # A band of one pixel in a larger field is left out: numpy's
+        # in-place complex multiply takes another path on one element,
+        # with other rounding, and BAND_BYTES makes such a band only when
+        # W = 1 and H > 9216.
+        with pytest.MonkeyPatch.context() as mp:
+            if band_rows:
+                mp.setattr(padmm.mri, "BAND_BYTES", band_rows * 16 * w)
+            bands = padmm.mri.row_bands((h, w))
+            assert len(bands) == (-(-h // band_rows) if band_rows else 1)
+            assume(h * w == 1 or all((b - a) * w > 1 for a, b in bands))
+            rng = np.random.default_rng(seed)
+            op = CoilGradOperator(n, (h, w))
+            u, d = (BlockVector([signed_zero_field(rng, (h, w), kind)
+                                 for _ in range(n + 1)]) for _ in range(2))
+            jac = op.jac(u)
+        out = BlockVector.zeros(op.u_shapes)
+        if offset:
+            d, out = (BlockVector([off_line(b) for b in x.blocks])
+                      for x in (d, out * np.nan))
+        got = jac.normal(d, out)
         want = jac.adjoint(jac.apply(d))
         assert got.shapes == want.shapes == op.u_shapes
         for a, b in zip(got.blocks, want.blocks):
