@@ -5,7 +5,8 @@ One iteration, in order:
 1. freeze the u-Jacobian A at (u^k, v^k) and set tau1 = theta / (delta ||A||^2),
 2. u^{k+1} = prox_H(u^k - tau1 A* mubar^k),
 3. freeze the v-Jacobian B at (u^{k+1}, v^k) and set
-   tau2 = theta / (delta ||B||^2),
+   tau2 = theta / (delta ||B||^2), or tau2 = 1/delta on B = -I of an
+   :class:`padmm.constraint.ExplicitV`: Q2 = 0, the exact v-minimization,
 4. v^{k+1} = prox_J(v^k - tau2 B* (mu^k + delta F(u^{k+1}, v^k))),
 5. mu^{k+1} = mu^k + delta F(u^{k+1}, v^{k+1}),
 6. mubar^{k+1} = 2 mu^{k+1} - mu^k, which is never stored: the next
@@ -17,10 +18,12 @@ A constraint F(u, v) = c enters as F - c.  Steps 2 and 4 are one pass,
 :func:`dual_update`.
 
 The solver takes a separable F(u, v) = G(u) - v = 0 as G itself, a
-:class:`SeparableOperator`.  There B = -I, and tau2 = 1/delta, the exact
-v-minimization (Q2 = 0), cancels v from step 4; by Moreau's identity
-steps 3-5 are the dual-first mu-update :func:`padmm.pdhgm.ascend` at
-G(u^{k+1}).  No step reads v, so the state carries ``v = None``.
+:class:`SeparableOperator`.  There B = -I, and tau2 = 1/delta cancels v
+from step 4; by Moreau's identity steps 3-5 are the dual-first mu-update
+:func:`padmm.pdhgm.ascend` at G(u^{k+1}).  No step reads v, so the state
+carries ``v = None``.  Handed ``ExplicitV(G)``, it takes steps 3-5 as
+written, v kept, which is how :func:`padmm.pdhgm.equivalence_check`
+tests that reordering.
 
 The quadratic surrogates that make the subproblems explicit are never
 formed as matrices; their effect is exactly the proximal form above, with
@@ -46,7 +49,8 @@ from typing import Optional
 import numpy as np
 
 from .blocks import BlockVector, detached, extrapolated_block
-from .constraint import LinearMap, NonlinearConstraint, SeparableOperator
+from .constraint import (ExplicitV, LinearMap, NonlinearConstraint,
+                         SeparableOperator)
 from .opnorm import estimate_opnorm
 from .prox import ProxOp
 
@@ -248,7 +252,10 @@ class AdmmSolver(Solver):
                 tau1=tau1, tau2=1.0 / delta, residual=residual, eig_a=eig_a)
 
         b = F.jac_v(u_new, state.v)
-        tau2, eig_b = self.step_size(b, state.eig_b)
+        if isinstance(F, ExplicitV):  # B = -I: Q2 = 0, no norm to estimate
+            tau2, eig_b = 1.0 / delta, None
+        else:
+            tau2, eig_b = self.step_size(b, state.eig_b)
         v_new = descend(b, tau2, state.v, dual_update(
             detached(F.evaluate(u_new, state.v), u_new, state.v),
             state.mu, delta), None, self.prox_j)

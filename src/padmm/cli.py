@@ -141,7 +141,7 @@ def _run(args) -> int:
         iters = args.iters if args.iters is not None else 50
         problem = separable_problem(mri_problem(dataset, cfg))
         deviation = equivalence_check(problem, cfg.solver, iters)
-        print(f"max iterate deviation over {iters} iterations: "
+        print(f"max relative iterate deviation over {iters} iterations: "
               f"{deviation:.3e}")
     return EXIT_OK
 

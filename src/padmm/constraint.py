@@ -1,5 +1,6 @@
 """Nonlinear constraints F(u, v) = 0, a right-hand side c folded into F,
-or G(u) - v = 0, and their Jacobians.
+or G(u) - v = 0, and their Jacobians.  :class:`ExplicitV` is the second
+in the first's form, with v kept.
 
 Jacobians are exposed as matrix-free apply/adjoint pairs.  The scope is
 restricted to constraints that are holomorphic / multilinear in each
@@ -9,10 +10,13 @@ Wirtinger calculus is involved.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .blocks import BlockVector
+import numpy as np
+
+from .blocks import BlockVector, detached
 
 
 @dataclass(frozen=True)
@@ -77,3 +81,25 @@ class SeparableOperator:
 
     def jac(self, u: BlockVector) -> LinearMap:
         raise NotImplementedError
+
+
+class ExplicitV(NonlinearConstraint):
+    """G(u) - v = 0 as a :class:`NonlinearConstraint`: the ADMM steps on
+    it with v in its state, and on its v-Jacobian -I it takes the exact
+    v-minimization tau2 = 1/delta (Q2 = 0), the paper's form of the
+    step that the separable path folds into the mu-update."""
+
+    def __init__(self, g: SeparableOperator):
+        self.g = g
+
+    def evaluate(self, u: BlockVector, v: BlockVector) -> BlockVector:
+        r = detached(self.g.evaluate(u), u)
+        for ri, vi in zip(r.blocks, v.blocks):
+            np.subtract(ri, vi, out=ri)
+        return r
+
+    def jac_u(self, u: BlockVector, v: BlockVector) -> LinearMap:
+        return self.g.jac(u)
+
+    def jac_v(self, u: BlockVector, v: BlockVector) -> LinearMap:
+        return LinearMap(operator.neg, operator.neg, v.shapes, v.shapes)

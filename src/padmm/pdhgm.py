@@ -14,9 +14,12 @@ and a Jacobian with ``adjoint_extrapolated`` (the MRI one) forms it
 block by block inside its adjoint.
 
 The ADMM, handed G itself, steps :func:`descend`, then this mu-update,
-:func:`ascend`, at u^{k+1}.  So after shifting the u-sequences by one
-the iterates coincide bit for bit, which the harness here checks by
-walking the two streams of iterates in lockstep.
+:func:`ascend`, at u^{k+1}: the two steps in the other order, the same
+bits after shifting the u-sequences by one.  The paper's connection
+result is that this reordering is the ADMM with v kept, B = -I and
+tau2 = 1/delta.  :func:`equivalence_check` tests it: it runs the ADMM
+on :class:`padmm.constraint.ExplicitV`, which never calls :func:`ascend`,
+and walks both streams of iterates in lockstep.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .admm import (AdmmSolver, Problem, Solver, SolverConfig, SolverState,
                    descend, dual_update)
 from .blocks import BlockVector, detached, sum_squares
-from .constraint import SeparableOperator
+from .constraint import ExplicitV, SeparableOperator
 # unused here, but benchmarks/spans.py patches and checks this attribute
 from .opnorm import estimate_opnorm  # noqa: F401
 from .prox import ProxOp, conjugate_apply
@@ -106,24 +109,27 @@ class PdhgmSolver(Solver):
 
 def equivalence_check(problem: SeparableProblem, cfg: SolverConfig,
                       iterations: int) -> float:
-    """Max deviation between the ADMM and dual-first u-sequences.
+    """Max relative deviation between the ADMM and dual-first u-sequences.
 
-    The dual-first stream starts from the u and eigenvector of the first
-    ADMM iterate (tau2 = 1/delta, as B = -I), then both are walked in
+    The ADMM steps on ``ExplicitV(problem.g)`` from v0 = 0, with
+    tau2 = 1/delta on its B = -I.  The dual-first stream starts from the
+    u and eigenvector of the first ADMM iterate, then both are walked in
     lockstep: iterate k meets ADMM iterate k + 1, the shift the
-    reordering induces.  Both warm-start norm estimates, as a run does.
-    Either stream's SolverAborted propagates.
+    reordering induces, and the deviation is relative to the ADMM's u.
+    Both warm-start norm estimates, as a run does.  Either stream's
+    SolverAborted propagates.
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
-    ap = problem.as_admm_problem()
-    admm = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
+    admm = AdmmSolver(ExplicitV(problem.g), problem.prox_h, problem.prox_j,
                       replace(cfg, max_iterations=iterations + 1))
-    admm_states = admm.iterates(admm.start(ap.u0, ap.v0, ap.mu0))
+    admm_states = admm.iterates(admm.start(
+        problem.u0, BlockVector.zeros(problem.mu0.shapes), problem.mu0))
     first = next(admm_states)
     pd = PdhgmSolver(replace(problem, u0=first.u),
                      replace(cfg, max_iterations=iterations))
     pd_states = pd.iterates(replace(pd.start(), eig_a=first.eig_a))
-    del first  # its mu and mu_prev would otherwise live through the walk
-    return max(((pd_st.u - admm_st.u).norm() for admm_st, pd_st in
-                zip(admm_states, pd_states)), default=0.0)
+    del first  # its v, mu and mu_prev would otherwise live through the walk
+    return max(((pd_st.u - admm_st.u).norm() / max(admm_st.u.norm(), 1e-300)
+                for admm_st, pd_st in zip(admm_states, pd_states)),
+               default=0.0)

@@ -3,20 +3,18 @@ vectors, signed-zero inputs and a bit-for-bit comparison, slice-based
 reference kernels, the hypot reference norm, flattening and dense maps,
 finite-difference and adjoint checks, callable constraints and
 operators, a closed-form resolvent, the solver steps as BlockVector
-arithmetic, the ADMM with an explicit v against the dual-first stream,
-a dense surrogate step against direct solves, the interleaving ``.pad``
-block codec, the metrics-file parser and the stamp-per-thickness spiral
-mask search."""
+arithmetic, a sign-flipped conjugate resolvent, a dense surrogate step
+against direct solves, the interleaving ``.pad`` block codec, the
+metrics-file parser and the stamp-per-thickness spiral mask search."""
 
 import math
-import operator
-from dataclasses import replace
 
 import numpy as np
 
 from padmm.admm import AdmmSolver, SolverConfig, SolverState
 from padmm.blocks import BlockVector
-from padmm.constraint import LinearMap, NonlinearConstraint, SeparableOperator
+from padmm.constraint import (ExplicitV, LinearMap, NonlinearConstraint,
+                              SeparableOperator)
 from padmm.fields import grad, grad_adjoint
 from padmm.phantom import FRACTION_TOL, MaskFractionError
 from padmm.prox import ProxOp
@@ -199,50 +197,6 @@ class CallableOperator(SeparableOperator):
         return self._jac(u)
 
 
-def explicit_v_constraint(g: SeparableOperator) -> CallableConstraint:
-    """G(u) - v = 0 in the paper's form, with the v-Jacobian -I, whose
-    apply and adjoint are ``operator.neg``: the ADMM steps on it with v
-    in its state, through the general path."""
-    return CallableConstraint(
-        evaluate=lambda u, v: g.evaluate(u) - v,
-        jac_u=lambda u, v: g.jac(u),
-        jac_v=lambda u, v: LinearMap(operator.neg, operator.neg,
-                                     v.shapes, v.shapes))
-
-
-class ExactVAdmm(AdmmSolver):
-    """The ADMM whose v-step on the -I of :func:`explicit_v_constraint`
-    takes tau2 = 1/delta: Q2 = 1/tau2 - delta B*B = 0, the exact
-    v-minimization of the paper's connection result.  Any other map
-    keeps the step rule's theta / (delta ||map||^2)."""
-
-    def step_size(self, linmap, start):
-        if linmap.adjoint is operator.neg:
-            return 1.0 / self.cfg.delta, start
-        return super().step_size(linmap, start)
-
-
-def explicit_v_deviation(problem, cfg, iterations: int) -> float:
-    """Max relative u-deviation between :class:`ExactVAdmm` on
-    ``explicit_v_constraint(problem.g)`` (v0 = 0) and the dual-first
-    iteration, walked as ``equivalence_check`` walks them: the
-    dual-first stream starts from the first ADMM iterate's u and
-    eigenvector, and its iterate k meets ADMM iterate k + 1."""
-    from padmm.pdhgm import PdhgmSolver  # pdhgm imports padmm.admm
-
-    admm = ExactVAdmm(explicit_v_constraint(problem.g), problem.prox_h,
-                      problem.prox_j,
-                      replace(cfg, max_iterations=iterations + 1))
-    admm_states = admm.iterates(admm.start(
-        problem.u0, BlockVector.zeros(problem.mu0.shapes), problem.mu0))
-    first = next(admm_states)
-    pd = PdhgmSolver(replace(problem, u0=first.u),
-                     replace(cfg, max_iterations=iterations))
-    pd_states = pd.iterates(replace(pd.start(), eig_a=first.eig_a))
-    return max(((p.u - a.u).norm() / a.u.norm()
-                for a, p in zip(admm_states, pd_states)), default=0.0)
-
-
 def fd_jacobian_check(op, jac: LinearMap, base: BlockVector,
                       direction: BlockVector, eps: float = 1e-6) -> float:
     """Relative error of ``jac`` against a central finite difference.
@@ -340,7 +294,8 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
     """Reference ``AdmmSolver.step``: each update as BlockVector
     arithmetic, the same operations in the same order, so the states
     agree bit for bit.  On a separable G it is the u-step, then the
-    reference dual-first mu-half at G(u^{k+1})."""
+    reference dual-first mu-half at G(u^{k+1}); on ``ExplicitV`` its
+    tau2 is 1/delta."""
     cfg = solver.cfg
     F = solver.constraint
     separable = isinstance(F, SeparableOperator)
@@ -361,7 +316,10 @@ def reference_admm_step(solver, state: SolverState) -> SolverState:
         )
 
     b = F.jac_v(u_new, state.v)
-    tau2, eig_b = solver.step_size(b, state.eig_b)
+    if isinstance(F, ExplicitV):
+        tau2, eig_b = 1.0 / cfg.delta, None
+    else:
+        tau2, eig_b = solver.step_size(b, state.eig_b)
     v_new = solver.prox_j.apply(
         state.v - tau2 * b.adjoint(
             state.mu + cfg.delta * F.evaluate(u_new, state.v)),
@@ -383,6 +341,16 @@ def reference_ascend(prox_j, delta, g_u, mu):
     b = mu + delta * g_u
     mu_new = b - delta * prox_j.apply((1.0 / delta) * b, 1.0 / delta)
     return mu_new, (mu_new - mu).norm() / delta
+
+
+def sign_flipped_conjugate_apply(prox, w, delta):
+    """:func:`padmm.prox.conjugate_apply` with Moreau's step mistaken,
+    w + delta prox(w / delta) in place of w - delta prox(w / delta): a
+    wrong dual-first mu-half that the ADMM on ``ExplicitV`` never runs."""
+    p = prox.apply((1.0 / delta) * w, 1.0 / delta)
+    for wi, pi in zip(w.blocks, p.blocks):
+        wi += delta * pi
+    return w
 
 
 def reference_pdhgm_step(solver, state: SolverState) -> SolverState:

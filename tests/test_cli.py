@@ -13,13 +13,14 @@ import pytest
 import yaml
 
 import padmm
+import padmm.pdhgm
 from padmm.admm import ConvergenceReport
 from padmm.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from padmm.dataset import (MAGIC_DATASET, MAGIC_RECORD, ContainerFormatError,
                            Dataset, ReconstructionRecord, read_container)
 from padmm.pipeline import load_config
 
-from oracles import parse_metrics
+from oracles import parse_metrics, sign_flipped_conjugate_apply
 
 BASE_CONFIG = {
     "phantom": {"size": 32},
@@ -81,6 +82,20 @@ def test_equivalence_reports_small_deviation(workspace, capsys):
     out = capsys.readouterr().out
     deviation = float(out.strip().rsplit(" ", 1)[-1])
     assert deviation <= 1e-8
+
+
+def test_equivalence_reports_a_sign_flipped_moreau_step(workspace, capsys,
+                                                         monkeypatch):
+    # a wrong dual-first mu-half, which the ADMM with v kept never runs
+    config, _ = workspace
+    main(["simulate", "--config", str(config)])
+    monkeypatch.setattr(padmm.pdhgm, "conjugate_apply",
+                        sign_flipped_conjugate_apply)
+    assert main(["equivalence", "--config", str(config),
+                 "--iters", "5"]) == EXIT_OK
+    out = capsys.readouterr().out
+    deviation = float(out.strip().rsplit(" ", 1)[-1])
+    assert deviation > 1e-8
 
 
 def test_pdhgm_algorithm_selected_from_config(workspace, tmp_path):

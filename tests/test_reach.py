@@ -31,7 +31,6 @@ UNREACHED = {
     "blocks:BlockVector.__repr__": "debugging aid",
     "blocks:BlockVector.__add__":
         "BlockVector arithmetic of the test oracles and G's remainder test",
-    "blocks:BlockVector.__neg__": "BlockVector arithmetic of the test oracles",
     "blocks:BlockVector.inner": "the adjoint checks of the tests",
     "mri:CoilGradOperator.jac.<locals>.apply":
         "no step applies A, only A* and A*A (criterion 1 checks it)",
@@ -40,9 +39,6 @@ UNREACHED = {
         "composed adjoint(apply(.)) fallback for maps without `normal`",
     "pdhgm:PdhgmSolver.run.<locals>.<lambda>":
         "the (u, mu) callback adapter, which benchmarks/workloads.py uses",
-    "prox:SeparableSumProx.apply":
-        "the general-B v-step of criteria 3, 4 and 5(c); the mu-half's "
-        "`conjugate_apply` runs its children one by one",
     "prox:FourierFidelityProx.penalty":
         "objective of the tests and the benchmark only",
     "prox:GroupShrinkProx.penalty": "objective of the tests and the benchmark only",

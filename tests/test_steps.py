@@ -10,9 +10,9 @@ import pytest
 from padmm import admm
 from padmm.admm import AdmmSolver, Problem, SolverConfig, SolverState
 from padmm.blocks import BlockVector
-from padmm.constraint import LinearMap
+from padmm.constraint import ExplicitV, LinearMap
 from padmm.mri import separable_problem
-from padmm.pdhgm import PdhgmSolver, equivalence_check
+from padmm.pdhgm import PdhgmSolver
 from padmm.pipeline import config_from_dict, mri_problem, simulate
 from padmm.prox import IdentityProx
 
@@ -121,6 +121,9 @@ class TestSameBitsAsBlockArithmetic:
     def test_mri(self, delta):
         problem, cfg = small_mri(delta)
         self.check_admm(problem.as_admm_problem(), cfg)
+        self.check_admm(replace(problem.as_admm_problem(),
+                                constraint=ExplicitV(problem.g),
+                                v0=BlockVector.zeros(problem.mu0.shapes)), cfg)
         self.check_pdhgm(problem, cfg)
 
     def test_general_b_and_nonzero_target(self):
@@ -133,14 +136,6 @@ class TestSameBitsAsBlockArithmetic:
         problem = unseparable_prox_j(problem, np.random.default_rng(1))
         self.check_admm(problem.as_admm_problem(), cfg)
         self.check_pdhgm(problem, cfg)
-
-    @pytest.mark.parametrize("delta", [0.2, 1.0])
-    def test_equivalence_is_exact(self, delta):
-        # on a separable constraint the ADMM step is the dual-first
-        # step's two halves, written once, so the shifted u-sequences
-        # agree bit for bit
-        problem, cfg = small_mri(delta)
-        assert equivalence_check(problem, cfg, 20) == 0.0
 
 
 def identity_map(shapes):
