@@ -7,9 +7,6 @@ numpy, so OpenBLAS reads these values when it starts; a value already
 set in the environment still wins.  The package itself pins nothing.
 """
 
-import os
+from benchmarks.provenance import single_threaded
 
-from benchmarks.provenance import THREAD_ENV
-
-for name in THREAD_ENV:
-    os.environ.setdefault(name, "1")
+single_threaded()

@@ -57,8 +57,9 @@ from .prox import ProxOp
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of both solvers.  ``tau2_override`` steers no step:
-    AdmmSolver accepts it only as 1/delta on a separable constraint."""
+    """Settings of both solvers, checked here alone.  ``tau2_override``
+    steers no step: it may only be None or 1/delta, the tau2 every
+    B = -I step takes; a general constraint's v-step takes its own."""
 
     delta: float = 1.0
     theta: float = 0.99
@@ -81,9 +82,9 @@ class SolverConfig:
             raise ValueError("power_iter_max must be at least 1")
         if operator.index(self.seed) < 0:
             raise ValueError("seed must be nonnegative")
-        if self.tau2_override is not None and not (
-                math.isfinite(self.tau2_override) and self.tau2_override > 0):
-            raise ValueError("tau2_override must be positive and finite")
+        if self.tau2_override not in (None, 1.0 / self.delta):
+            raise ValueError("tau2_override may only be None or 1/delta, "
+                             f"not {self.tau2_override!r}")
 
 
 @dataclass
@@ -223,12 +224,6 @@ class AdmmSolver(Solver):
 
     def __init__(self, constraint: NonlinearConstraint | SeparableOperator,
                  prox_h: ProxOp, prox_j: ProxOp, cfg: SolverConfig):
-        if cfg.tau2_override is not None and not (
-                isinstance(constraint, SeparableOperator)
-                and cfg.tau2_override == 1.0 / cfg.delta):
-            raise ValueError(
-                "tau2 comes from the step rule; tau2_override may only be "
-                f"1/delta on a separable constraint, not {cfg.tau2_override!r}")
         super().__init__(cfg)
         self.constraint = constraint
         self.prox_h = prox_h

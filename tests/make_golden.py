@@ -38,12 +38,12 @@ from padmm.admm import AdmmSolver  # noqa: E402
 from padmm.dataset import Dataset  # noqa: E402
 from padmm.mri import separable_problem  # noqa: E402
 from padmm.pdhgm import PdhgmSolver  # noqa: E402
-from padmm.pipeline import config_from_dict, mri_problem, simulate  # noqa: E402
+from padmm.pipeline import (ALGORITHMS, config_from_dict,  # noqa: E402
+                            mri_problem, simulate)
 
 GOLDEN = ROOT / "tests" / "golden"
 RECORD = GOLDEN / "record.npz"
 ITERATIONS = 30
-ALGORITHMS = ("admm", "pdhgm")
 
 CASES = {
     "scalar16": {

@@ -108,10 +108,10 @@ class TestStepSizes:
             assert abs(st.tau2 * delta - theta) < 1e-6
             assert st.tau2 * delta < 1.0
 
-    @pytest.mark.parametrize("tau2", [0.123, 1.0 / 0.7])
+    @pytest.mark.parametrize("tau2", [0.123])
     def test_tau2_override_rejected_on_a_general_constraint(self, tau2):
-        # tau2 comes from the step rule there; the override may only
-        # assert the separable step's exact 1/delta
+        # tau2 comes from the step rule there; the settings refuse any
+        # override but the 1/delta of a B = -I step before a solver exists
         problem, _, _ = scalar_consensus()
         with pytest.raises(ValueError, match="tau2"):
             AdmmSolver(problem.constraint, problem.prox_h, problem.prox_j,
@@ -331,6 +331,8 @@ class TestConfigValidation:
         {"power_iter_tol": float("nan")}, {"power_iter_tol": -1.0},
         {"tau2_override": -1.0}, {"tau2_override": 0.0},
         {"tau2_override": float("nan")}, {"tau2_override": float("inf")},
+        # a value the dual-first step, taking 1/delta, would ignore
+        {"delta": 0.7, "tau2_override": 7.0},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -196,8 +196,8 @@ def test_no_settings_check_a_caller_can_skip():
 
 def test_only_the_settings_checks_read_tau2_override():
     # tau2 comes from the step rule, so no step reads the field: it only
-    # asserts the separable step's 1/delta, and deleting it touches the
-    # two checks alone
+    # asserts the 1/delta of a B = -I step, and deleting it touches the
+    # one check alone
     readers = set()
     for path in sorted(Path(padmm.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -209,4 +209,4 @@ def test_only_the_settings_checks_read_tau2_override():
                     for node in ast.walk(tree)
                     if getattr(node, "attr", None) == "tau2_override"
                     or getattr(node, "value", None) == "tau2_override"}
-    assert readers == {"SolverConfig.__post_init__", "AdmmSolver.__init__"}
+    assert readers == {"SolverConfig.__post_init__"}

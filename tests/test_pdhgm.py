@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from padmm.blocks import BlockVector
-from padmm.constraint import LinearMap
+from padmm.constraint import ExplicitV, LinearMap
 from padmm.mri import separable_problem
 from padmm.pdhgm import PdhgmSolver, SeparableProblem, equivalence_check
-from padmm.admm import AdmmSolver, SolverAborted, SolverConfig, SolverState
+from padmm.admm import (AdmmSolver, SolverAborted, SolverConfig, SolverState,
+                        run)
 from padmm.pipeline import config_from_dict, mri_problem, simulate
 from padmm.prox import IdentityProx, conjugate_apply
 
@@ -331,6 +332,53 @@ class TestSeparableConstraintAdapter:
         # the one override the exact v-step allows is accepted
         AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
                    SolverConfig(delta=0.7, tau2_override=1.0 / 0.7))
+
+
+class TestTau2Override:
+    """``SolverConfig`` alone checks the field: None or 1/delta, the tau2
+    every B = -I step takes.  Each entry point takes what it builds."""
+
+    ENTRY_POINTS = ["admm-separable", "admm-explicit-v", "admm-general",
+                    "pdhgm", "equivalence-check"]
+
+    @staticmethod
+    def iterations_run(entry: str, cfg: SolverConfig) -> int:
+        """The iterations ``entry`` runs under ``cfg`` on a small problem."""
+        p = denoising_problem(((3,),), BlockVector([np.arange(3.0) + 1j]))
+        if entry == "pdhgm":
+            return PdhgmSolver(p, cfg).run()[2].iterations
+        if entry == "equivalence-check":
+            assert equivalence_check(p, cfg, cfg.max_iterations) <= 1e-12
+            return cfg.max_iterations
+        if entry == "admm-general":
+            from test_admm import scalar_consensus  # it imports this module
+            problem = scalar_consensus()[0]
+        elif entry == "admm-explicit-v":
+            problem = replace(p.as_admm_problem(), constraint=ExplicitV(p.g),
+                              v0=BlockVector.zeros(p.mu0.shapes))
+        else:
+            problem = p.as_admm_problem()
+        return run(problem, cfg)[1].iterations
+
+    @pytest.mark.parametrize("tau2", [None, 1.0 / 0.7, 0.123, 2.0, -1.0,
+                                      float("nan"), float("inf")])
+    def test_every_entry_point_takes_what_the_settings_build(self, tau2):
+        if tau2 is None or tau2 == 1.0 / 0.7:
+            cfg = SolverConfig(delta=0.7, max_iterations=3,
+                               tau2_override=tau2)
+            assert ({entry: self.iterations_run(entry, cfg)
+                     for entry in self.ENTRY_POINTS}
+                    == dict.fromkeys(self.ENTRY_POINTS, 3))
+        else:
+            with pytest.raises(ValueError, match="tau2_override"):
+                SolverConfig(delta=0.7, max_iterations=3, tau2_override=tau2)
+
+    def test_equivalence_check_reads_the_same_with_the_override(self):
+        # the explicit-v ADMM's tau2 is the 1/delta the override names
+        problem, cfg = TestSolverParity.mri_instance()
+        with_override = replace(cfg, tau2_override=1.0 / cfg.delta)
+        assert (equivalence_check(problem, with_override, 20)
+                == equivalence_check(problem, cfg, 20))
 
 
 class TestSolverParity:
