@@ -35,7 +35,9 @@ output), with the operations and their order of the formulas above.  So
 the step holds few v-layout temporaries, and no buffer lives on from one
 step to the next.  Every state it returns has arrays of its own, except
 ``mu_prev``: that is its predecessor's ``mu`` itself, which nothing
-writes.
+writes.  The step consumes its input's carry, ``mu_prev`` and the warm
+starts ``eig_a``/``eig_b``: it sets each to None once it has read it,
+so neither mu^{k-1} nor an old eigenvector outlives its one use.
 """
 
 from __future__ import annotations
@@ -101,6 +103,9 @@ class SolverState:
     dual-first state, whose step extrapolates its new mu against ``mu``.
     ``eig_a``/``eig_b`` warm-start the next power iteration on the u-/v-
     Jacobian, with its last eigenvector; ``None`` starts it from the seed.
+    These three are the carry, an input of the next step only: the step
+    that takes the state sets each to ``None`` once read.  So a state is
+    stepped once; a second step takes mubar = mu and a seeded start.
     """
 
     u: BlockVector
@@ -193,7 +198,9 @@ class Solver:
     def iterates(self, state: SolverState):
         """Each accepted state after ``state``, up to ``max_iterations``;
         a non-finite u, v, mu or residual raises SolverAborted.  Pass the
-        start unnamed: this frame drops it once the first step returns."""
+        start unnamed: this frame drops it once the first step returns.
+        The next step consumes a yielded state's carry, so a kept state
+        keeps its u, v, mu and scalars; its carry reads None."""
         for _ in range(self.cfg.max_iterations):
             # a diverging iterate overflows before it turns non-finite; the
             # abort reports that once, so numpy is quiet (never at a yield)
@@ -236,7 +243,9 @@ class AdmmSolver(Solver):
         separable = isinstance(F, SeparableOperator)
         a = F.jac(state.u) if separable else F.jac_u(state.u, state.v)
         tau1, eig_a = self.step_size(a, state.eig_a)
+        state.eig_a = None
         u_new = descend(a, tau1, state.u, state.mu, state.mu_prev, self.prox_h)
+        state.mu_prev = None
         del a  # frees the Jacobian's scratch before the v-step's temporaries
 
         if separable:
@@ -251,6 +260,7 @@ class AdmmSolver(Solver):
             tau2, eig_b = 1.0 / delta, None
         else:
             tau2, eig_b = self.step_size(b, state.eig_b)
+            state.eig_b = None
         v_new = descend(b, tau2, state.v, dual_update(
             detached(F.evaluate(u_new, state.v), u_new, state.v),
             state.mu, delta), None, self.prox_j)

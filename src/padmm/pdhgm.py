@@ -88,6 +88,7 @@ class PdhgmSolver(Solver):
         mu_new, residual = ascend(p.g, state.u, state.mu, p.prox_j, delta)
         jac = p.g.jac(state.u)
         tau1, eig_a = self.step_size(jac, state.eig_a)
+        state.eig_a = None
         u_new = descend(jac, tau1, state.u, mu_new, state.mu, p.prox_h)
         return SolverState(
             u=u_new, v=None, mu=mu_new, mu_prev=None, k=state.k + 1,
@@ -129,7 +130,7 @@ def equivalence_check(problem: SeparableProblem, cfg: SolverConfig,
     pd = PdhgmSolver(replace(problem, u0=first.u),
                      replace(cfg, max_iterations=iterations))
     pd_states = pd.iterates(replace(pd.start(), eig_a=first.eig_a))
-    del first  # its v, mu and mu_prev would otherwise live through the walk
+    del first  # its v and mu would live through the walk (steps free the rest)
     return max(((pd_st.u - admm_st.u).norm() / max(admm_st.u.norm(), 1e-300)
                 for admm_st, pd_st in zip(admm_states, pd_states)),
                default=0.0)

@@ -407,11 +407,15 @@ class TestSolverParity:
         ap = problem.as_admm_problem()
         admm_solver = AdmmSolver(ap.constraint, ap.prox_h, ap.prox_j,
                                  replace(cfg, max_iterations=iterations + 1))
-        admm_states = list(admm_solver.iterates(
-            admm_solver.start(ap.u0, ap.v0, ap.mu0)))
-        pd_solver = PdhgmSolver(replace(problem, u0=admm_states[0].u), cfg)
+        admm_stream = admm_solver.iterates(
+            admm_solver.start(ap.u0, ap.v0, ap.mu0))
+        first = next(admm_stream)
+        # read before the next step consumes it, as equivalence_check does
+        eig_a = first.eig_a
+        admm_states = [first, *admm_stream]
+        pd_solver = PdhgmSolver(replace(problem, u0=first.u), cfg)
         pd_states = list(pd_solver.iterates(
-            replace(pd_solver.start(), eig_a=admm_states[0].eig_a)))
+            replace(pd_solver.start(), eig_a=eig_a)))
 
         assert len(pd_states) == iterations
         # the ADMM step is the dual-first step's halves in the other

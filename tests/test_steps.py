@@ -1,7 +1,9 @@
 """The in-place solver steps: the bits of the BlockVector arithmetic they
-replace, states that own their arrays, and the peak memory of one step."""
+replace, states that own their arrays, the carry each step consumes, and
+the peak memory of one step."""
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +24,9 @@ from oracles import (CallableConstraint, QuadraticAnchorProx, bit_identical,
 from test_pdhgm import denoising_problem
 
 STEPS = 6
-FIELDS = ("u", "v", "mu", "mu_prev", "eig_a", "eig_b")
+KEPT = ("u", "v", "mu")
+CARRY = ("mu_prev", "eig_a", "eig_b")
+FIELDS = KEPT + CARRY
 
 
 def small_mri(delta, size=16, coils=2, turns=3.0):
@@ -91,6 +95,12 @@ def general_b_problem(rng):
     )
 
 
+def explicit_v_problem(problem) -> Problem:
+    """The separable MRI problem as G(u) - v = 0 with v kept, from v = 0."""
+    return replace(problem.as_admm_problem(), constraint=ExplicitV(problem.g),
+                   v0=BlockVector.zeros(problem.mu0.shapes))
+
+
 def unseparable_prox_j(problem, rng):
     """The MRI problem with one resolvent on the whole v-layout."""
     anchor = random_like(BlockVector.zeros(problem.mu0.shapes), rng)
@@ -121,9 +131,7 @@ class TestSameBitsAsBlockArithmetic:
     def test_mri(self, delta):
         problem, cfg = small_mri(delta)
         self.check_admm(problem.as_admm_problem(), cfg)
-        self.check_admm(replace(problem.as_admm_problem(),
-                                constraint=ExplicitV(problem.g),
-                                v0=BlockVector.zeros(problem.mu0.shapes)), cfg)
+        self.check_admm(explicit_v_problem(problem), cfg)
         self.check_pdhgm(problem, cfg)
 
     def test_general_b_and_nonzero_target(self):
@@ -161,11 +169,15 @@ def pass_through_problem(rng):
 class TestStatesOwnTheirArrays:
     """Callers of ``iterates`` and callbacks may keep states; a later step
     must never write into them, and no two states may share an array
-    but one: an ADMM state's mu_prev is its predecessor's mu itself."""
+    but one: an ADMM state's mu_prev is its predecessor's mu itself.
+    The step that takes a state consumes its carry, so a kept state
+    keeps u, v, mu and its scalars, and every array keeps its bits,
+    checked through the fields its state was made with."""
 
     @staticmethod
     def check(solver, start: SolverState):
-        kept = [(start, snapshot(start))]
+        # replace() without changes: the same arrays in a new dataclass
+        kept = [(start, replace(start), snapshot(start))]
         for _ in range(STEPS):
             prev = kept[-1][0]
             new = solver.step(prev)
@@ -173,12 +185,16 @@ class TestStatesOwnTheirArrays:
                 assert new.mu_prev is None
             else:
                 assert new.mu_prev is prev.mu
-            kept.append((new, snapshot(new)))
-        for state, copy in kept:
-            assert_same_state(state, copy)
+            kept.append((new, replace(new), snapshot(new)))
+        for i, (state, made, copy) in enumerate(kept):
+            assert all(getattr(state, f) is getattr(made, f) for f in KEPT)
+            if i < STEPS:  # stepped: its carry was consumed
+                assert all(getattr(state, f) is None for f in CARRY)
+            assert_same_state(
+                replace(state, **{f: getattr(made, f) for f in CARRY}), copy)
         # the start is the input of the first step, each state the
         # input of the next, so this also covers step inputs
-        seen = [b for state, _ in kept for b in own_arrays(state)]
+        seen = [b for _, made, _ in kept for b in own_arrays(made)]
         for i, a in enumerate(seen):
             for b in seen[i + 1:]:
                 assert not np.shares_memory(a, b)
@@ -206,6 +222,60 @@ class TestStatesOwnTheirArrays:
         self.check(solver, solver.start())
         ap = pd.as_admm_problem()
         self.check(admm_solver(ap, SolverConfig(delta=0.7)), admm_start(ap))
+
+
+def carry_case(case):
+    """(solver, start, the carry fields a warm state of that solver holds)."""
+    if case == "general":
+        problem = general_b_problem(np.random.default_rng(0))
+        return (admm_solver(problem, SolverConfig(delta=0.6)),
+                admm_start(problem), CARRY)
+    problem, cfg = small_mri(0.2)
+    if case == "pdhgm":
+        solver = PdhgmSolver(problem, cfg)
+        return solver, solver.start(), ("eig_a",)
+    ap = (problem.as_admm_problem() if case == "separable"
+          else explicit_v_problem(problem))
+    return admm_solver(ap, cfg), admm_start(ap), ("mu_prev", "eig_a")
+
+
+def memory_of(block):
+    """A weak reference to the array that owns ``block``'s memory."""
+    while isinstance(block.base, np.ndarray):
+        block = block.base
+    return weakref.ref(block)
+
+
+CARRY_CASES = ["separable", "explicit_v", "general", "pdhgm"]
+
+
+class TestTheCarryIsConsumed:
+    """mu^{k-1} and the power-iteration warm starts are inputs of the
+    next step only: the step that takes a state sets them to None once it
+    has read them, so a state held through that step does not pin them."""
+
+    @pytest.mark.parametrize("case", CARRY_CASES)
+    def test_a_held_state_does_not_pin_its_carry(self, case):
+        solver, start, carried = carry_case(case)
+        states = solver.iterates(start)
+        next(states)
+        held = next(states)
+        refs = [memory_of(getattr(held, f).blocks[0]) for f in carried]
+        next(states)
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("case", CARRY_CASES)
+    def test_a_step_releases_the_carry_and_keeps_the_rest(self, case):
+        solver, state, carried = carry_case(case)
+        for _ in range(2):
+            state = solver.step(state)
+        assert all(getattr(state, f) is not None for f in carried)
+        made, copy = replace(state), snapshot(state)
+        solver.step(state)
+        assert all(getattr(state, f) is None for f in CARRY)
+        assert all(getattr(state, f) is getattr(made, f) for f in KEPT)
+        assert_same_state(
+            replace(state, **{f: getattr(copy, f) for f in CARRY}), copy)
 
 
 class TestFusedExtrapolation:
@@ -248,13 +318,13 @@ class TestFusedExtrapolation:
 class TestStepPeakMemory:
     """The traced peak of one warm step above its entry, in v-layout
     vectors: the in-place passes hold few v-layout temporaries.  On this
-    config the steps give about 2.2 (admm) and 2.0 (pdhgm); with mubar
-    stored for the adjoint call they gave 2.2 and 3.0, with a stored
-    mubar and a multiplier half out of place 3.7 and 3.0, and written as
-    BlockVector arithmetic about 6.4 and 4.6.  The admm peak sits in its
-    mu-half, where the incoming state still holds mu^{k-1}."""
+    config the steps give about 0.94 (admm) and 1.95 (pdhgm); with the
+    incoming state holding mu^{k-1} and its eigenvector through the step
+    they gave 2.2 and 2.0, with mubar also stored for the adjoint call
+    2.2 and 3.0, with a stored mubar and a multiplier half out of place
+    3.7 and 3.0, and written as BlockVector arithmetic about 6.4 and 4.6."""
 
-    LIMITS = {"admm": 2.75, "pdhgm": 2.5}
+    LIMITS = {"admm": 1.25, "pdhgm": 2.5}
 
     @pytest.mark.parametrize("algorithm", ["admm", "pdhgm"])
     def test_warm_step_peak(self, algorithm):
@@ -283,8 +353,9 @@ class TestStepPeakMemory:
 
     def test_admm_run_peak(self):
         # the whole run, start state included: the separable ADMM holds no
-        # v, no stored mubar and no start copy of either (about 5.0; 6.5
-        # with a stored mubar)
+        # v, no stored mubar, no start copy of either and no consumed
+        # carry (about 3.7; 5.0 with the carry held through each step,
+        # 6.5 with a stored mubar as well)
         problem, cfg = small_mri(0.2, size=48, coils=4, turns=4.0)
         v_bytes = sum(b.nbytes for b in problem.mu0.blocks)
         tracemalloc.start()
@@ -295,4 +366,4 @@ class TestStepPeakMemory:
         finally:
             tracemalloc.stop()
         assert report.iterations == 4 and state.v is None
-        assert peak / v_bytes <= 5.5
+        assert peak / v_bytes <= 4.25
